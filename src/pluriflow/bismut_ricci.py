@@ -93,16 +93,24 @@ def rho_tensor(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def rho11_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Coefficient matrix rho[i, j] with (rho_B)^{1,1} = -i rho[i, j] z^i w z^jbar."""
-    n = G.shape[0]
-    e = eta_vector(coeffs, G)
-    mixed = -np.einsum("ijc,c->ij", coeffs[:n, n:, :], e)  # rho_B(Z_i, Z_jbar)
-    return 1j * mixed
+    return rho11_from_eta(coeffs, eta_vector(coeffs, G))
 
 
 def rho20_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Values rho_B(Z_i, Z_j) of the (2, 0) block."""
-    n = G.shape[0]
-    e = eta_vector(coeffs, G)
+    return rho20_from_eta(coeffs, eta_vector(coeffs, G))
+
+
+def rho11_from_eta(coeffs: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``rho11_matrix`` from a precomputed ``eta_vector``."""
+    n = e.shape[0] // 2
+    mixed = -np.einsum("ijc,c->ij", coeffs[:n, n:, :], e)  # rho_B(Z_i, Z_jbar)
+    return 1j * mixed
+
+
+def rho20_from_eta(coeffs: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``rho20_matrix`` from a precomputed ``eta_vector``."""
+    n = e.shape[0] // 2
     return -np.einsum("ijc,c->ij", coeffs[:n, :n, :], e)
 
 

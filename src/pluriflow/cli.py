@@ -241,7 +241,7 @@ def run_config(cfg: dict) -> int:
 
     if traj.termination == "positivity_floor":
         return EXIT_BLOWDOWN
-    if traj.termination in ("step_rejected", "taming_lost"):
+    if traj.termination == "step_rejected":
         return EXIT_INTEGRATOR
     return EXIT_OK
 

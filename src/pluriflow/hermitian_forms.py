@@ -12,8 +12,11 @@ metric is -i sum_r zeta^r wedge zeta^rbar and real adapted basis vectors
 have squared length 2.
 
 Form inner products expand in a g-orthonormal real coframe and sum
-coefficients over strictly increasing multi-indices; the codifferential
-is the literal matrix adjoint of d_mu in those coordinates.
+coefficients over strictly increasing multi-indices.  In that frame the
+codifferential is the conjugate-transpose contraction of d_mu: for an
+r-form psi, d* psi = -Alt(W) / (2 (r-2)!) with
+W[e, ...] = sum_{a,b} conj(mu[a, b, e]) psi[a, b, ...], Alt the signed sum
+over permutations of the r - 1 slots.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def _perms_with_signs(r: int):
 
 
 @lru_cache(maxsize=64)
-def _bidegree_mask_cached(n: int, degree: int, p: int):
+def _bidegree_mask(n: int, degree: int, p: int) -> np.ndarray:
     if degree == 0:
         return np.ones((), dtype=float) if p == 0 else np.zeros(())
     hol = np.concatenate([np.ones(n), np.zeros(n)])
@@ -171,10 +174,6 @@ def _bidegree_mask_cached(n: int, degree: int, p: int):
         shape[axis] = 2 * n
         count = count + hol.reshape(shape)
     return (count == p).astype(float)
-
-
-def _bidegree_mask(n: int, degree: int, p: int) -> np.ndarray:
-    return _bidegree_mask_cached(n, degree, p)
 
 
 def basis_form(n: int, *indices: int) -> InvariantForm:
@@ -211,25 +210,19 @@ def metric_of(form: InvariantForm) -> HermitianMetric:
 def d_mu_tensor(m: np.ndarray, T: np.ndarray, n: int) -> np.ndarray:
     """Chevalley-Eilenberg differential of a dense antisymmetric tensor.
 
-    ``m`` is a structure tensor in the same frame as ``T``.  Valid in any
-    frame, which the codifferential exploits.
+    (dT)[a_0..a_r] = sum_{i<j} (-1)^(i+j) m[a_i, a_j, e] T[e, rest]: one
+    contraction over e, then the signed sum over the C(r+1, 2) slot pairs.
+    ``m`` is a structure tensor in the same frame as ``T``; valid in any frame.
     """
     r = T.ndim
     dim = 2 * n
-    out = np.zeros((dim,) * (r + 1), dtype=np.result_type(m, T, complex))
-    if r + 1 > dim:
-        return out
-    perms = _perms_with_signs(r + 1)
-    for combo in itertools.combinations(range(dim), r + 1):
-        val = 0.0 + 0.0j
-        for k in range(r + 1):
-            for l in range(k + 1, r + 1):
-                rest = combo[:k] + combo[k + 1:l] + combo[l + 1:r + 1]
-                sign = -1 if (k + l) % 2 else 1
-                val += sign * np.dot(m[combo[k], combo[l], :], T[(slice(None),) + rest])
-        if val != 0.0:
-            for perm, sign in perms:
-                out[tuple(combo[p] for p in perm)] = sign * val
+    dtype = np.result_type(m, T, complex)
+    if r == 0:
+        return np.zeros(dim, dtype=dtype)
+    C = np.tensordot(m, T, axes=([2], [0]))
+    out = np.zeros((dim,) * (r + 1), dtype=dtype)
+    for i, j in itertools.combinations(range(r + 1), 2):
+        out += (-1) ** (i + j) * np.moveaxis(C, (0, 1), (i, j))
     return out
 
 
@@ -314,45 +307,26 @@ def form_inner(a: InvariantForm, b: InvariantForm, g: HermitianMetric) -> comple
     return complex(np.sum(au * np.conj(bu)) / math.factorial(r))
 
 
-def _increasing(dim: int, r: int):
-    return list(itertools.combinations(range(dim), r))
-
-
-def _coords_from_tensor(T: np.ndarray, combos) -> np.ndarray:
-    return np.array([T[c] for c in combos]) if T.ndim else np.array([complex(T)])
-
-
-def _tensor_from_coords(coords: np.ndarray, combos, r: int, dim: int) -> np.ndarray:
-    if r == 0:
-        return np.asarray(coords[0])
-    T = np.zeros((dim,) * r, dtype=complex)
-    for val, combo in zip(coords, combos):
-        if val != 0.0:
-            for perm, sign in _perms_with_signs(r):
-                T[tuple(combo[p] for p in perm)] = sign * val
-    return T
-
-
 def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> InvariantForm:
-    """Adjoint of d_mu with respect to the g-induced form inner products."""
+    """Adjoint of d_mu with respect to the g-induced form inner products.
+
+    Computed in the g-orthonormal real frame as the conjugate-transpose
+    contraction -Alt(W) / (2 (r-2)!), W = sum_{a,b} conj(mu_u[a, b, .]) form_u[a, b, ...];
+    a 1-form maps to the zero scalar, since d vanishes on constants.
+    """
     r = form.degree
     if r < 1:
         raise ValidationError("codifferential needs degree >= 1")
     n = mu.n
-    dim = 2 * n
+    if r == 1:
+        return InvariantForm(np.zeros((), dtype=complex), n, validate=False)
     U, Uinv = orthonormal_real_frame(g)
-    mu_u = np.einsum("Ai,Bj,ABC,kC->ijk", U, U, mu.coeffs, Uinv)
-    combos_lo = _increasing(dim, r - 1)
-    combos_hi = _increasing(dim, r)
-    D = np.zeros((len(combos_hi), len(combos_lo)), dtype=complex)
-    for col, combo in enumerate(combos_lo):
-        elem = basis_form(n, *combo).tensor if r - 1 else np.ones(())
-        dT = d_mu_tensor(mu_u, elem, n)
-        D[:, col] = _coords_from_tensor(dT, combos_hi)
-    coords = _coords_from_tensor(transform_form(form.tensor, U), combos_hi)
-    out_coords = D.conj().T @ coords
-    out_u = _tensor_from_coords(out_coords, combos_lo, r - 1, dim)
-    return InvariantForm(transform_form(out_u, Uinv) if r - 1 else out_u, n, validate=False)
+    mu_u = np.einsum("Ai,Bj,ABC,kC->ijk", U, U, mu.coeffs, Uinv, optimize=True)
+    form_u = transform_form(form.tensor, U)
+    W = np.tensordot(np.conj(mu_u), form_u, axes=([0, 1], [0, 1]))
+    alt = sum(sign * W.transpose(perm) for perm, sign in _perms_with_signs(r - 1))
+    out_u = -alt / (2 * math.factorial(r - 2))
+    return InvariantForm(transform_form(out_u, Uinv), n, validate=False)
 
 
 def skt_defect(mu: LieBracket, g: HermitianMetric,
@@ -425,10 +399,3 @@ def transport_metric(h: np.ndarray, g: HermitianMetric) -> HermitianMetric:
     """Metric of the equivalent pair: (h . mu, transport) ~ (mu, g)."""
     hinv = np.linalg.inv(np.asarray(h, dtype=complex))
     return HermitianMetric(hinv.T @ g.matrix @ hinv.conj())
-
-
-def random_metric(rng: np.random.Generator, n: int, spread: float = 1.0) -> HermitianMetric:
-    """Random positive definite Hermitian matrix with moderate conditioning."""
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    G = A @ A.conj().T * (spread / n) + 0.5 * np.eye(n)
-    return HermitianMetric(G)

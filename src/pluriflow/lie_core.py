@@ -107,7 +107,7 @@ class LieBracket:
     def real_structure(self) -> np.ndarray:
         """Structure constants over the real adapted basis, shape (2n, 2n, 2n)."""
         S, Sinv, _, _ = adapted_frame(self.n)
-        c = np.einsum("ia,jb,ijk,ck->abc", S, S, self.coeffs, Sinv)
+        c = np.einsum("ia,jb,ijk,ck->abc", S, S, self.coeffs, Sinv, optimize=True)
         if np.abs(c.imag).max() > 1e-10 * max(np.abs(c).max(), 1.0):
             raise ValidationError("real structure constants have a large imaginary part")
         return c.real.copy()

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_pd_metric
 from pluriflow import catalog
 from pluriflow.bismut_ricci import rho_B
 from pluriflow.connections import eberlein_oracle, ricci_forms
@@ -39,11 +40,6 @@ from pluriflow.lie_core import (
 def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}  {desc}  {detail}".rstrip())
     assert ok, f"criterion {num}: {desc} {detail}"
-
-
-def random_metric(rng, n, spread=1.0):
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMetric(A @ A.conj().T * (spread / n) + 0.5 * np.eye(n))
 
 
 def random_skt_instance(rng, n, seed):
@@ -169,7 +165,7 @@ def test_criterion_05_cross_path_rho():
     for entry in entries:
         mu = entry.bracket
         for _ in range(100):
-            g = random_metric(rng, mu.n)
+            g = random_pd_metric(rng, mu.n)
             trace_path = ricci_forms(mu, g).rho_b_trace.tensor
             direct = rho_B(mu, g).tensor
             scale = max(np.abs(direct).max(), 1.0)
@@ -185,7 +181,7 @@ def test_criterion_06_chern_form_vanishes():
     cases += [catalog.random_2step_skt(3, s).bracket for s in range(10)]
     cases += [catalog.random_2step_skt(2, s).bracket for s in range(10)]
     for mu in cases:
-        g = random_metric(rng, mu.n)
+        g = random_pd_metric(rng, mu.n)
         worst = max(worst, ricci_forms(mu, g).rho_c.max_norm())
     report(6, "Chern Ricci form vanishes on 2-step data", worst < 1e-10,
            f"(max norm {worst:.2e})")

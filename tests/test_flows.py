@@ -12,6 +12,7 @@ from pluriflow.flows import (
     hs_flow,
     pluriclosed_flow,
     step,
+    _pluriclosed_field,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm
 from pluriflow.lie_core import bracket_norm_sq
@@ -38,6 +39,31 @@ def test_step_scalar_sqrt_law_order():
     e1 = run(0.02)
     e2 = run(0.01)
     assert e1 / e2 > 8.0  # fourth order modulo constants
+
+
+def test_step_shares_first_evaluation_bitwise(heisenberg):
+    # an accepted step evaluates the field 11 times and returns exactly what
+    # the literal RK4 doubling (12 evaluations) returns
+    field = _pluriclosed_field(heisenberg.bracket)
+    calls = []
+
+    def f(v):
+        calls.append(1)
+        return field(v)
+
+    def rk4(v, dt):
+        k1 = field(v)
+        k2 = field(v + 0.5 * dt * k1)
+        k3 = field(v + 0.5 * dt * k2)
+        k4 = field(v + dt * k3)
+        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y = np.array([[1.3, 0.2 - 0.4j], [0.2 + 0.4j, 0.8]], dtype=complex).reshape(-1)
+    for dt in (1e-3, 1e-2):
+        calls.clear()
+        out = step(f, y, dt)
+        assert len(calls) == 11
+        assert np.array_equal(out, rk4(rk4(y, 0.5 * dt), 0.5 * dt))
 
 
 def test_step_rejects_on_singularity():

@@ -12,6 +12,7 @@ from pluriflow.hermitian_forms import (
     closedness_defect,
     codifferential,
     d_mu,
+    d_mu_tensor,
     dolbeault_split,
     form_inner,
     fundamental_form,
@@ -114,11 +115,18 @@ def _antisymmetrize(T):
     return out / math.factorial(r)
 
 
-def test_d_matches_bruteforce(rng, solvable):
-    mu = solvable.bracket
-    T = _antisymmetrize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    got = d_mu(mu, InvariantForm(T, 2, validate=False)).tensor
-    assert_form_close(got, brute_d(mu, T), tol=1e-12, scale=max(np.abs(T).max(), 1.0))
+def test_d_matches_bruteforce(rng, solvable, inoue):
+    cases = [(solvable.bracket, range(0, 4)), (inoue.bracket, range(0, 4)),
+             (iwasawa_like(), range(1, 5)), (catalog.random_2step_skt(3, 5).bracket, range(1, 5))]
+    for mu, degrees in cases:
+        dim = 2 * mu.n
+        for deg in degrees:
+            T = rng.standard_normal((dim,) * deg) + 1j * rng.standard_normal((dim,) * deg)
+            if deg >= 1:
+                T = _antisymmetrize(T)
+            got = d_mu_tensor(mu.coeffs, T, mu.n)
+            assert got.shape == (dim,) * (deg + 1)
+            assert_form_close(got, brute_d(mu, T), tol=1e-12, scale=max(np.abs(T).max(), 1.0))
 
 
 def test_dolbeault_split_solvable(solvable):
@@ -155,23 +163,22 @@ def test_codifferential_abelian_zero(rng):
     assert codifferential(mu, g, w).max_norm() == 0.0
 
 
+def _random_form(rng, dim, deg):
+    T = rng.standard_normal((dim,) * deg) + 1j * rng.standard_normal((dim,) * deg)
+    return _antisymmetrize(T) if deg > 1 else T
+
+
 def test_codifferential_adjointness(rng):
-    entries = [catalog.heisenberg_kt(), catalog.inoue_s0(1.0, 1.0),
-               catalog.solvable_2414()]
-    for entry in entries:
-        mu = entry.bracket
-        g = random_pd_metric(rng, mu.n)
-        for deg in (1, 2, 3):
+    brackets = [catalog.heisenberg_kt().bracket, catalog.inoue_s0(1.0, 1.0).bracket,
+                catalog.solvable_2414().bracket, iwasawa_like(),
+                catalog.random_2step_skt(3, 2).bracket]
+    for mu in brackets:
+        n = mu.n
+        g = random_pd_metric(rng, n)
+        for deg in (1, 2, 3, 4):
             for _ in range(6):
-                A = _antisymmetrize(rng.standard_normal((4,) * deg)
-                                    + 1j * rng.standard_normal((4,) * deg)) \
-                    if deg > 1 else rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                B = _antisymmetrize(rng.standard_normal((4,) * (deg - 1))
-                                    + 1j * rng.standard_normal((4,) * (deg - 1))) \
-                    if deg - 1 > 1 else (rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                                         if deg - 1 == 1 else np.asarray(rng.standard_normal()))
-                alpha = InvariantForm(B, 2, validate=False)
-                beta = InvariantForm(A, 2, validate=False)
+                alpha = InvariantForm(_random_form(rng, 2 * n, deg - 1), n, validate=False)
+                beta = InvariantForm(_random_form(rng, 2 * n, deg), n, validate=False)
                 lhs = form_inner(d_mu(mu, alpha), beta, g)
                 rhs = form_inner(alpha, codifferential(mu, g, beta), g)
                 assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), abs(rhs), 1.0)
@@ -275,6 +282,17 @@ def test_taming_margin_full_pairing_oracle(rng):
     A = J_real.T @ W
     margin_full = float(np.linalg.eigvalsh(0.5 * (A + A.T)).min() / 2.0)
     assert margin_full == pytest.approx(taming_margin(tf), abs=1e-12)
+
+
+def test_taming_margin_is_min_eigenvalue(rng):
+    # the taming margin is the smallest eigenvalue of the metric, so the
+    # positivity floor of the hs flow trips before taming can be lost
+    for n in (2, 3, 4, 5):
+        for _ in range(20):
+            g = random_pd_metric(rng, n, spread=rng.uniform(0.1, 10.0))
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            margin = taming_margin(TamedForm(g, B - B.T))
+            assert abs(margin - g.min_eigenvalue()) <= 1e-12 * np.linalg.norm(g.matrix)
 
 
 def test_closedness_defect(solvable, torus2, rng):
