@@ -14,12 +14,18 @@ are [re, im] pairs)::
       "output": {"directory": ".", "prefix": "run"}
     }
 
+``dt`` is the first step and the spacing of the sample grid, samples are
+taken every ``sample_every`` grid points, and the adaptive steps in between
+meet ``error_target / 10`` relative error each (see ``flows``).
+
 Outputs: ``<prefix>_trajectory.csv`` with a commented header naming every
-column, and ``<prefix>_summary.json``.  The PLURIFLOW_OUTDIR environment
-variable overrides the output directory.
+column, and ``<prefix>_summary.json``, whose ``telemetry`` block holds the
+run's ``rhs_calls``, ``accepted_steps`` and ``rejected_steps``.  The
+PLURIFLOW_OUTDIR environment variable overrides the output directory.
 
 Exit codes: 0 success, 2 validation failure, 3 blow-down before t_end,
-4 integrator failure, 5 parse error.
+4 integrator failure (a step below dt * 2**-max_halvings needed), 5 parse
+error.
 """
 
 from __future__ import annotations
@@ -127,31 +133,33 @@ def initial_report(mu: LieBracket, seed, flow: str) -> dict:
     return rep
 
 
-def _state_columns(state) -> tuple[list[str], list[float]]:
-    names: list[str] = []
-    vals: list[float] = []
-
-    def emit(prefix: str, arr: np.ndarray):
-        flat = np.asarray(arr).reshape(-1)
-        for idx, v in enumerate(flat):
-            names.append(f"{prefix}_{idx}_re")
-            names.append(f"{prefix}_{idx}_im")
-            vals.append(float(np.real(v)))
-            vals.append(float(np.imag(v)))
-
+def _state_parts(state) -> list[tuple[str, np.ndarray]]:
     if isinstance(state, MetricState):
-        emit("g", state.g.matrix)
-    elif isinstance(state, BracketState):
-        emit("mu", state.mu.coeffs)
-    elif isinstance(state, BracketWithGaugeState):
-        emit("mu", state.mu.coeffs)
-        emit("h", state.h)
-    elif isinstance(state, TamedState):
-        emit("g", state.g.matrix)
-        emit("beta", state.beta)
-    else:
-        raise ValidationError(f"unknown state type {type(state)!r}")
-    return names, vals
+        return [("g", state.g.matrix)]
+    if isinstance(state, BracketState):
+        return [("mu", state.mu.coeffs)]
+    if isinstance(state, BracketWithGaugeState):
+        return [("mu", state.mu.coeffs), ("h", state.h)]
+    if isinstance(state, TamedState):
+        return [("g", state.g.matrix), ("beta", state.beta)]
+    raise ValidationError(f"unknown state type {type(state)!r}")
+
+
+def _state_values(state) -> list[float]:
+    """Real and imaginary parts of every state entry, interleaved, as floats."""
+    vals: list[float] = []
+    for _, arr in _state_parts(state):
+        a = np.asarray(arr, dtype=complex).reshape(-1)
+        vals += np.stack([a.real, a.imag], -1).ravel().tolist()
+    return vals
+
+
+def _state_columns(state) -> tuple[list[str], list[float]]:
+    names = [f"{prefix}_{idx}_{part}"
+             for prefix, arr in _state_parts(state)
+             for idx in range(np.size(arr))
+             for part in ("re", "im")]
+    return names, _state_values(state)
 
 
 def write_trajectory(path: str, traj: FlowTrajectory) -> None:
@@ -161,10 +169,8 @@ def write_trajectory(path: str, traj: FlowTrajectory) -> None:
         header = ["t"] + names + monitor_names
         fh.write("# " + ",".join(header) + "\n")
         for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-            _, vals = _state_columns(state)
-            row = [repr(float(t))] + [repr(v) for v in vals]
-            row += [repr(float(traj.monitors[m][i])) for m in monitor_names]
-            fh.write(",".join(row) + "\n")
+            row = [float(t)] + _state_values(state) + [traj.monitors[m][i] for m in monitor_names]
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def closed_form_deviation(entry: catalog.CatalogEntry, flow: str, seed,
@@ -229,6 +235,7 @@ def run_config(cfg: dict) -> int:
         "t_final": traj.times[-1],
         "final_state": dict(zip(final_names, final_vals)),
         "monitor_max": {k: max(v) for k, v in traj.monitors.items()},
+        "telemetry": traj.stats,
     }
     if entry is not None:
         dev = closed_form_deviation(entry, flow, seed, traj)

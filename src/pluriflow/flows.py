@@ -6,12 +6,18 @@ form by dbeta/dt = -(rho_B)^{2,0}.  The bracket flow is
 dmu/dt = (1/2) delta_mu(P_mu) with P_mu read off rho_B at the standard
 metric, and the gauge curve solves dh/dt = -(1/2) P_mu h from h = I.
 
-The integrator is the classical 4th-order one-step method with
-step-doubling error control: each grid step of size dt is accepted when
-the doubled-step estimate meets the relative target, otherwise the step
-is split in half recursively up to ``max_halvings`` levels, preserving
-the fixed output grid.  Hermitian or bracket symmetry is restored by
-exact symmetrization after every accepted grid step.
+All three flows run through one driver, ``_integrate``: the Dormand-Prince
+5(4) embedded pair with FSAL (the last stage of an accepted step is the
+first stage of the next, so a step costs 6 evaluations of the field).  The
+first step is dt, no step is longer than sample_every * dt, and steps are
+clipped to land exactly on the sample times k * dt of the grid.  A step is
+accepted when its embedded error estimate, relative to the state norm, is
+at most error_target / 10; the run ends as ``step_rejected`` when the
+controller asks for a step below dt * 2**-max_halvings.  Hermitian or
+bracket symmetry is restored by exact symmetrization of every accepted
+state, and the positivity floor is checked on accepted states.  ``step``,
+the fixed-dt RK4 step-doubling method, is kept as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .bismut_ricci import (
     p_of_bracket,
     p_of_metric,
     rho11_from_eta,
-    rho11_matrix,
     rho20_from_eta,
     rho_tensor,
 )
@@ -76,12 +81,12 @@ class TamedState:
 
 @dataclass
 class IntegratorConfig:
-    dt: float = 1e-3
+    dt: float = 1e-3                    # first step and sample-grid spacing
     t_end: float = 10.0
-    sample_every: int = 100
+    sample_every: int = 100             # sample every this many dt; also the largest step
     positivity_floor: float = 1e-8      # relative to the initial minimum eigenvalue
-    error_target: float = 1e-9          # relative step-doubling error per grid step
-    max_halvings: int = 16
+    error_target: float = 1e-9          # a step is accepted at relative error <= error_target / 10
+    max_halvings: int = 16              # smallest step dt * 2**-max_halvings
     defect_tolerances: dict = field(default_factory=lambda: {
         "skt_defect": 1e-8,
         "closedness_defect": 1e-8,
@@ -102,6 +107,7 @@ class FlowTrajectory:
     states: list = field(default_factory=list)
     monitors: dict[str, list[float]] = field(default_factory=dict)
     termination: str = "reached_t_end"
+    stats: dict = field(default_factory=dict)   # rhs_calls, accepted_steps, rejected_steps
 
     def record(self, t: float, state, channels: dict[str, float]) -> None:
         self.times.append(t)
@@ -146,6 +152,90 @@ def step(f: Callable, y: np.ndarray, dt: float, error_target: float = 1e-9,
             f"step error {err:.3e} above target {error_target:.1e} after {_depth} halvings")
     mid = step(f, y, 0.5 * dt, error_target, max_halvings, _depth + 1)
     return step(f, mid, 0.5 * dt, error_target, max_halvings, _depth + 1)
+
+
+# Dormand-Prince 5(4): the stage rows of the Butcher tableau, whose last row
+# is the 5th-order solution (its field value is the next step's first stage),
+# and the 5th-order weights minus the embedded 4th-order ones.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combine(weights: tuple, ks: list) -> np.ndarray:
+    return sum(w * k for w, k in zip(weights, ks) if w)
+
+
+def _integrate(field: Callable, y0: np.ndarray, project: Callable,
+               guard: Callable | None, record: Callable,
+               cfg: IntegratorConfig) -> tuple[str, dict]:
+    """Integrate y' = field(y) from y0, calling record(t, y) at every sample.
+
+    Samples are taken at t = k * dt for each multiple k of sample_every up to
+    round(t_end / dt), and at that last grid point.  Accepted states pass
+    through ``project``; an accepted state with ``guard(y)`` true is recorded
+    and ends the run at the positivity floor.  When the controller asks for
+    a step below dt * 2**-max_halvings, the last accepted state is recorded
+    (unless it is a sample already) and the run ends as ``step_rejected``.
+    Returns the termination cause and the run's counters.
+    """
+    nsteps = int(round(cfg.t_end / cfg.dt))
+    grid = list(range(cfg.sample_every, nsteps + 1, cfg.sample_every))
+    if nsteps % cfg.sample_every:
+        grid.append(nsteps)
+    h_max = cfg.sample_every * cfg.dt
+    h_min = cfg.dt * 2.0 ** -cfg.max_halvings
+    target = cfg.error_target / 10.0
+    stats = {"rhs_calls": 1, "accepted_steps": 0, "rejected_steps": 0}
+
+    t = t_recorded = 0.0
+    y, h = y0, cfg.dt
+    record(t, y)
+    k1 = field(y)
+    for k in grid:
+        t_sample = k * cfg.dt
+        while t < t_sample:
+            # stretch a step by up to 1% rather than leave a sliver before the sample
+            land = t + 1.01 * h >= t_sample
+            hs = t_sample - t if land else h
+            # trial stages may overflow; a non-finite estimate rejects the step
+            with np.errstate(over="ignore", invalid="ignore"):
+                ks = [k1]
+                for row in _DP_A[:-1]:
+                    ks.append(field(y + hs * _combine(row, ks)))
+                y_new = project(y + hs * _combine(_DP_A[-1], ks))
+                ks.append(field(y_new))
+                scale = max(float(np.linalg.norm(y)), float(np.linalg.norm(y_new)), 1e-30)
+                err = hs * float(np.linalg.norm(_combine(_DP_E, ks))) / scale
+            if not np.isfinite(scale):
+                err = np.inf
+            stats["rhs_calls"] += 6
+            if err <= target:
+                stats["accepted_steps"] += 1
+                t = t_sample if land else t + hs
+                y, k1 = y_new, ks[-1]
+                if guard is not None and guard(y):
+                    record(t, y)
+                    return "positivity_floor", stats
+                proposed = hs * (5.0 if err == 0.0 else min(5.0, 0.9 * (target / err) ** 0.2))
+                # a step shortened to land on a sample says nothing against h
+                h = min(h_max, max(proposed, h) if land else proposed)
+            else:
+                stats["rejected_steps"] += 1
+                h = hs * (max(0.2, 0.9 * (target / err) ** 0.2) if np.isfinite(err) else 0.2)
+                if h < h_min:
+                    if t > t_recorded:
+                        record(t, y)
+                    return "step_rejected", stats
+        record(t, y)
+        t_recorded = t
+    return "reached_t_end", stats
 
 
 def _pluriclosed_field(mu: LieBracket) -> Callable:
@@ -209,40 +299,31 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
             ch["reduction_defect"] = float(np.abs(resid).max())
         return ch
 
-    y = g0.matrix.reshape(-1).copy()
-    t = 0.0
-    traj.record(t, MetricState(HermitianMetric(y.reshape(n, n), validate=False)), channels(y.reshape(n, n)))
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    for k in range(1, nsteps + 1):
-        try:
-            y = step(f, y, cfg.dt, cfg.error_target, cfg.max_halvings)
-        except StepRejectedError:
-            traj.termination = "step_rejected"
-            break
-        t = k * cfg.dt
-        y = _hermitize(y.reshape(n, n)).reshape(-1)
-        G = y.reshape(n, n)
-        mineig = float(np.linalg.eigvalsh(G).min())
-        if mineig <= floor:
-            traj.record(t, MetricState(HermitianMetric(G, validate=False)), channels(G))
-            traj.termination = "positivity_floor"
-            break
-        if k % cfg.sample_every == 0 or k == nsteps:
-            traj.record(t, MetricState(HermitianMetric(G, validate=False)), channels(G))
-    if traj.termination == "step_rejected" and traj.times[-1] < t - 1e-15:
-        # keep the last good state even off the sample grid
+    def record(t: float, y: np.ndarray) -> None:
         G = y.reshape(n, n)
         traj.record(t, MetricState(HermitianMetric(G, validate=False)), channels(G))
+
+    traj.termination, traj.stats = _integrate(
+        f, g0.matrix.reshape(-1).copy(),
+        project=lambda y: _hermitize(y.reshape(n, n)).reshape(-1),
+        guard=lambda y: float(np.linalg.eigvalsh(y.reshape(n, n)).min()) <= floor,
+        record=record, cfg=cfg)
     return traj
 
 
+def _rho11_at_identity(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """``rho11_matrix(coeffs, I)``: at the standard metric eta needs no inverse."""
+    e = (-1j * np.einsum("arr->a", coeffs[:n, :n, :n])
+         + 1j * np.einsum("kka->a", coeffs[:n, n:, n:]))
+    return rho11_from_eta(coeffs, np.concatenate([e, np.conj(e)]))
+
+
 def _bracket_field(n: int, with_gauge: bool) -> Callable:
-    G0 = np.eye(n, dtype=complex)
     size_mu = (2 * n) ** 3
 
     def f(y: np.ndarray) -> np.ndarray:
         coeffs = y[:size_mu].reshape(2 * n, 2 * n, 2 * n)
-        Pc = rho11_matrix(coeffs, G0).T
+        Pc = _rho11_at_identity(coeffs, n).T
         Pfull = np.zeros((2 * n, 2 * n), dtype=complex)
         Pfull[:n, :n] = Pc
         Pfull[n:, n:] = np.conj(Pc)
@@ -257,11 +338,14 @@ def _bracket_field(n: int, with_gauge: bool) -> Callable:
 
 
 def delta_mu(coeffs: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """delta_mu(A) = mu(A., .) + mu(., A.) - A mu(., .), complexified action."""
-    t1 = np.einsum("da,dbc->abc", A, coeffs)
-    t2 = np.einsum("db,adc->abc", A, coeffs)
-    t3 = np.einsum("abd,cd->abc", coeffs, A)
-    return t1 + t2 - t3
+    """delta_mu(A) = mu(A., .) + mu(., A.) - A mu(., .), complexified action.
+
+    In coefficients A_da c_dbc + A_db c_adc - c_abd A_cd, as three matrix
+    products.
+    """
+    m = coeffs.shape[0]
+    At = A.T
+    return (At @ coeffs.reshape(m, m * m)).reshape(m, m, m) + At @ coeffs - coeffs @ At
 
 
 def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
@@ -302,38 +386,21 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
         denom = max(np.abs(Pmu).max(), 1e-12)
         return float(np.abs(Pmu - conj).max() / denom)
 
-    y = mu0.coeffs.reshape(-1).copy()
-    if with_gauge:
-        y = np.concatenate([y, np.eye(n, dtype=complex).reshape(-1)])
-    t = 0.0
-    state0 = _bracket_state(y, n, with_gauge)
-    ch0 = channels(mu0.coeffs)
-    if with_gauge:
-        ch0["gauge_defect"] = gauge_channel(mu0.coeffs, np.eye(n, dtype=complex))
-    traj.record(t, state0, ch0)
-
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    for k in range(1, nsteps + 1):
-        try:
-            y = step(f, y, cfg.dt, cfg.error_target, cfg.max_halvings)
-        except StepRejectedError:
-            traj.termination = "step_rejected"
-            break
-        t = k * cfg.dt
+    def project(y: np.ndarray) -> np.ndarray:
         coeffs = symmetrize_bracket(y[:size_mu].reshape(2 * n, 2 * n, 2 * n), n)
-        y[:size_mu] = coeffs.reshape(-1)
-        if k % cfg.sample_every == 0 or k == nsteps:
-            ch = channels(coeffs)
-            if with_gauge:
-                h = y[size_mu:].reshape(n, n)
-                ch["gauge_defect"] = gauge_channel(coeffs, h)
-            traj.record(t, _bracket_state(y, n, with_gauge), ch)
-    if traj.termination == "step_rejected" and traj.times[-1] < t - 1e-15:
+        return np.concatenate([coeffs.reshape(-1), y[size_mu:]])
+
+    def record(t: float, y: np.ndarray) -> None:
         coeffs = y[:size_mu].reshape(2 * n, 2 * n, 2 * n)
         ch = channels(coeffs)
         if with_gauge:
             ch["gauge_defect"] = gauge_channel(coeffs, y[size_mu:].reshape(n, n))
         traj.record(t, _bracket_state(y, n, with_gauge), ch)
+
+    y0 = mu0.coeffs.reshape(-1).copy()
+    if with_gauge:
+        y0 = np.concatenate([y0, np.eye(n, dtype=complex).reshape(-1)])
+    traj.termination, traj.stats = _integrate(f, y0, project, None, record, cfg)
     return traj
 
 
@@ -428,36 +495,22 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
             "taming_margin": taming_margin(tf),
         }
 
-    y = np.concatenate([Omega0.omega.matrix.reshape(-1), Omega0.beta.reshape(-1)])
-    t = 0.0
-    traj.record(t, TamedState(HermitianMetric(Omega0.omega.matrix, validate=False),
-                              Omega0.beta.copy()),
-                channels(Omega0.omega.matrix, Omega0.beta))
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    for k in range(1, nsteps + 1):
-        try:
-            y = step(f, y, cfg.dt, cfg.error_target, cfg.max_halvings)
-        except StepRejectedError:
-            traj.termination = "step_rejected"
-            break
-        t = k * cfg.dt
-        G = _hermitize(y[:nsq].reshape(n, n))
+    def project(y: np.ndarray) -> np.ndarray:
         beta = y[nsq:].reshape(n, n)
-        beta = 0.5 * (beta - beta.T)
-        y = np.concatenate([G.reshape(-1), beta.reshape(-1)])
-        mineig = float(np.linalg.eigvalsh(G).min())
-        state = TamedState(HermitianMetric(G, validate=False), beta.copy())
-        if mineig <= floor:
-            traj.record(t, state, channels(G, beta))
-            traj.termination = "positivity_floor"
-            break
-        if k % cfg.sample_every == 0 or k == nsteps:
-            traj.record(t, state, channels(G, beta))
-    if traj.termination == "step_rejected" and traj.times[-1] < t - 1e-15:
+        return np.concatenate([_hermitize(y[:nsq].reshape(n, n)).reshape(-1),
+                               (0.5 * (beta - beta.T)).reshape(-1)])
+
+    def record(t: float, y: np.ndarray) -> None:
         G = y[:nsq].reshape(n, n)
         beta = y[nsq:].reshape(n, n)
         traj.record(t, TamedState(HermitianMetric(G, validate=False), beta.copy()),
                     channels(G, beta))
+
+    y0 = np.concatenate([Omega0.omega.matrix.reshape(-1), Omega0.beta.reshape(-1)])
+    traj.termination, traj.stats = _integrate(
+        f, y0, project,
+        guard=lambda y: float(np.linalg.eigvalsh(y[:nsq].reshape(n, n)).min()) <= floor,
+        record=record, cfg=cfg)
     return traj
 
 

@@ -162,3 +162,50 @@ def test_run_blowdown_exit_code(tmp_path):
     assert rc == cli.EXIT_BLOWDOWN
     summary = json.loads((out / "heis_summary.json").read_text())
     assert summary["termination"] == "positivity_floor"
+
+
+def test_trajectory_csv_parses_back_exactly(tmp_path):
+    import numpy as np
+
+    from pluriflow.flows import IntegratorConfig, bracket_flow
+
+    traj = bracket_flow(catalog.random_2step_skt(2, 3).bracket,
+                        IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5), with_gauge=True)
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory(str(path), traj)
+    lines = path.read_text().splitlines()
+    names, _ = cli._state_columns(traj.states[0])
+    monitors = sorted(traj.monitors)
+    assert lines[0] == "# " + ",".join(["t"] + names + monitors)
+    assert len(lines) == len(traj.times) + 1
+    for i, (line, state) in enumerate(zip(lines[1:], traj.states)):
+        vals = [float(v) for v in line.split(",")]
+        assert vals[0] == traj.times[i]
+        k = 1
+        for arr in (state.mu.coeffs, state.h):
+            flat = arr.reshape(-1)
+            got = np.array(vals[k:k + 2 * flat.size:2]) + 1j * np.array(vals[k + 1:k + 2 * flat.size:2])
+            assert np.array_equal(got, flat)
+            k += 2 * flat.size
+        assert vals[k:] == [traj.monitors[m][i] for m in monitors]
+
+
+def test_run_summary_telemetry_and_repeatable_csv(tmp_path):
+    cfgs = [
+        {"algebra": {"catalog": "solvable_2414"}, "flow": "hs", "seed": "default",
+         "integrator": {"dt": 1e-2, "t_end": 2.0, "sample_every": 20}},
+        {"algebra": {"catalog": "random_2step_skt", "params": {"n": 3, "seed": 2}},
+         "flow": "bracket_gauged", "seed": "default",
+         "integrator": {"dt": 1e-2, "t_end": 1.0, "sample_every": 10}},
+    ]
+    for cfg in cfgs:
+        csvs = []
+        for run in ("a", "b"):
+            cfg["output"] = {"directory": str(tmp_path / run), "prefix": cfg["flow"]}
+            assert cli.main(["run", write_cfg(tmp_path, f"{run}.json", cfg)]) == 0
+            csvs.append((tmp_path / run / f"{cfg['flow']}_trajectory.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        summary = json.loads((tmp_path / "a" / f"{cfg['flow']}_summary.json").read_text())
+        tel = summary["telemetry"]
+        assert tel["accepted_steps"] > 0
+        assert tel["rhs_calls"] == 1 + 6 * (tel["accepted_steps"] + tel["rejected_steps"])

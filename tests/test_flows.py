@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import abelian, random_pd_metric
+from pluriflow import catalog, flows
 from pluriflow.errors import GridMismatchError, StepRejectedError, ValidationError
 from pluriflow.flows import (
     IntegratorConfig,
@@ -12,10 +15,37 @@ from pluriflow.flows import (
     hs_flow,
     pluriclosed_flow,
     step,
+    _bracket_field,
+    _hermitize,
+    _hs_field,
     _pluriclosed_field,
+    _rho11_at_identity,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm
-from pluriflow.lie_core import bracket_norm_sq
+from pluriflow.bismut_ricci import rho11_matrix
+from pluriflow.lie_core import bracket_norm_sq, symmetrize_bracket
+
+
+def fixed_step_run(field, y0, project, dt, nsteps, error_target=1e-9):
+    """States after each of nsteps fixed steps of the RK4 step-doubling ``step``."""
+    ys = [y0]
+    for _ in range(nsteps):
+        ys.append(project(step(field, ys[-1], dt, error_target)))
+    return ys
+
+
+def _rel(a, b):
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(np.asarray(b)).max())
+
+
+def _symmetrize_flat(n):
+    size_mu = (2 * n) ** 3
+
+    def project(y):
+        coeffs = symmetrize_bracket(y[:size_mu].reshape(2 * n, 2 * n, 2 * n), n)
+        return np.concatenate([coeffs.reshape(-1), y[size_mu:]])
+
+    return project
 
 
 def test_step_zero_field_identity():
@@ -163,13 +193,13 @@ def test_bracket_flow_abelian_constant():
 
 
 def test_bracket_flow_tensor_matches_fine_reference(heisenberg):
-    # full-tensor integration agrees with a reference run at dt / 100
-    cfg = IntegratorConfig(dt=1e-1, t_end=1.0, sample_every=10, error_target=1.0)
-    ref = IntegratorConfig(dt=1e-3, t_end=1.0, sample_every=1000, error_target=1.0)
+    # full-tensor integration agrees with a fixed-step reference run at dt / 100
+    cfg = IntegratorConfig(dt=1e-1, t_end=1.0, sample_every=10)
     a = bracket_flow(heisenberg.bracket, cfg)
-    b = bracket_flow(heisenberg.bracket, ref)
-    assert np.abs(a.times[-1] - b.times[-1]) < 1e-12
-    diff = np.abs(a.final_state().mu.coeffs - b.final_state().mu.coeffs).max()
+    b = fixed_step_run(_bracket_field(2, False), heisenberg.bracket.coeffs.reshape(-1),
+                       _symmetrize_flat(2), dt=1e-3, nsteps=1000, error_target=1.0)[-1]
+    assert a.times[-1] == 1.0
+    diff = np.abs(a.final_state().mu.coeffs.reshape(-1) - b).max()
     assert diff < 1e-7
 
 
@@ -297,3 +327,102 @@ def test_trajectory_reality_along_flows(heisenberg):
         c = s.mu.coeffs
         assert np.abs(c + c.transpose(1, 0, 2)).max() == 0.0
         assert np.abs(c - conj_tensor(c, 2)).max() == 0.0
+
+
+def test_adaptive_flows_match_fixed_step_reference(heisenberg, solvable):
+    # each flow's samples agree with the fixed-dt RK4 step-doubling reference
+    g0 = np.array([[1.2, 0.25 - 0.35j], [0.25 + 0.35j, 0.7]])
+    cfg = IntegratorConfig(dt=2e-3, t_end=3.0, sample_every=300)
+    traj = pluriclosed_flow(heisenberg.bracket, HermitianMetric(g0), cfg)
+    ref = fixed_step_run(_pluriclosed_field(heisenberg.bracket), g0.reshape(-1),
+                         lambda y: _hermitize(y.reshape(2, 2)).reshape(-1), cfg.dt, 1500)
+    for i, s in enumerate(traj.states):
+        assert _rel(s.g.matrix.reshape(-1), ref[300 * i]) < 1e-9
+
+    tamed = solvable.default_tamed
+    cfg = IntegratorConfig(dt=1e-2, t_end=5.0, sample_every=100)
+    traj = hs_flow(solvable.bracket, tamed, cfg)
+
+    def project_hs(y):
+        beta = y[4:].reshape(2, 2)
+        return np.concatenate([_hermitize(y[:4].reshape(2, 2)).reshape(-1),
+                               (0.5 * (beta - beta.T)).reshape(-1)])
+
+    y0 = np.concatenate([tamed.omega.matrix.reshape(-1), tamed.beta.reshape(-1)])
+    ref = fixed_step_run(_hs_field(solvable.bracket), y0, project_hs, cfg.dt, 500)
+    for i, s in enumerate(traj.states):
+        assert _rel(np.concatenate([s.g.matrix.reshape(-1), s.beta.reshape(-1)]), ref[100 * i]) < 1e-9
+
+    mu0 = catalog.random_2step_skt(4, 11).bracket
+    cfg = IntegratorConfig(dt=1e-2, t_end=2.0, sample_every=50)
+    traj = bracket_flow(mu0, cfg, with_gauge=True)
+    y0 = np.concatenate([mu0.coeffs.reshape(-1), np.eye(4, dtype=complex).reshape(-1)])
+    # at this dt the reference's own error in h is 1e-8, so it runs at dt / 5
+    ref = fixed_step_run(_bracket_field(4, True), y0, _symmetrize_flat(4), cfg.dt / 5, 1000)
+    for i, s in enumerate(traj.states):
+        assert _rel(s.mu.coeffs.reshape(-1), ref[250 * i][:512]) < 1e-9
+        assert _rel(s.h.reshape(-1), ref[250 * i][512:]) < 1e-9
+
+
+def test_sample_times_are_exact_grid_points(heisenberg):
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.1, sample_every=7)
+    for traj in (pluriclosed_flow(heisenberg.bracket, HermitianMetric(np.eye(2)), cfg),
+                 bracket_flow(heisenberg.bracket, cfg)):
+        ks = list(range(0, 100, 7)) + [100]
+        assert traj.times == [k * cfg.dt for k in ks]
+
+
+def test_stats_count_field_calls(heisenberg, monkeypatch):
+    calls = []
+    make_field = flows._pluriclosed_field
+
+    def counting(mu):
+        field = make_field(mu)
+        return lambda y: (calls.append(1), field(y))[1]
+
+    monkeypatch.setattr(flows, "_pluriclosed_field", counting)
+    cfg = IntegratorConfig(dt=1e-3, t_end=2.0, sample_every=100)
+    traj = pluriclosed_flow(heisenberg.bracket, HermitianMetric(np.eye(2)), cfg)
+    st = traj.stats
+    assert st["rhs_calls"] == len(calls) == 1 + 6 * (st["accepted_steps"] + st["rejected_steps"])
+    assert st["accepted_steps"] < 100  # the parent grid had 2000 steps of 11 calls
+
+
+def test_step_rejected_keeps_last_accepted_state(heisenberg):
+    # backwards, x = sqrt(1 - t) blows down at t = 1, below the positivity floor's reach
+    cfg = IntegratorConfig(dt=1e-2, t_end=5.0, sample_every=50)
+    traj = pluriclosed_flow(heisenberg.bracket, HermitianMetric(np.eye(2)), cfg, direction=-1.0)
+    assert traj.termination == "step_rejected"
+    assert traj.times[-2] == 0.5 and 0.99 < traj.times[-1] < 1.0
+    x = traj.final_state().g.matrix[0, 0].real
+    assert abs(x - np.sqrt(1.0 - traj.times[-1])) < 1e-2 * x
+
+
+def test_bracket_flow_rejected_trials_do_not_warn():
+    # at dt = 1e-2 the first trial steps overflow; they are rejected silently
+    mu = catalog.random_2step_skt(5, 1234).bracket
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.5, sample_every=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = bracket_flow(mu, cfg)
+    assert traj.termination == "reached_t_end"
+    assert traj.stats["rejected_steps"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rho11_at_identity_matches_rho11_matrix(n):
+    for seed in range(3):
+        c = catalog.random_2step_skt(n, seed).bracket.coeffs
+        expected = rho11_matrix(c, np.eye(n, dtype=complex))
+        assert _rel(_rho11_at_identity(c, n), expected) < 1e-14
+
+
+def test_delta_mu_matches_einsum_definition(rng):
+    from pluriflow.flows import delta_mu
+
+    for n in (2, 3, 5):
+        c = catalog.random_2step_skt(n, 4).bracket.coeffs
+        A = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        expected = (np.einsum("da,dbc->abc", A, c) + np.einsum("db,adc->abc", A, c)
+                    - np.einsum("abd,cd->abc", c, A))
+        assert _rel(delta_mu(c, A), expected) < 1e-14
