@@ -9,11 +9,11 @@ finite-difference checked against the flow ODEs in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import RejectionBudgetError, ValidationError
 from .hermitian_forms import HermitianMetric, TamedForm, skt_defect
@@ -175,13 +175,14 @@ def solvable_2414() -> CatalogEntry:
             return G0.copy(), beta0.copy()
 
         def F(r: float) -> float:
-            return r * r / (2.0 * xx) - yy * np.log(r)
+            return r * r / (2.0 * xx) - yy * math.log(r)
 
         target = F(rho0) + t / 4.0
-        lo = rho0 * np.exp(-(target - F(rho0) + 1.0) / yy)
-        while F(lo) < target:
+        lo = max(rho0 * math.exp(-(target - F(rho0) + 1.0) / yy), math.ulp(0.0))
+        while lo > 0.0 and F(lo) < target:
             lo *= 0.5
-        rho = brentq(lambda r: F(r) - target, lo, rho0, xtol=1e-15, rtol=8.9e-16)
+        # lo = 0: the radius is below the smallest positive float
+        rho = _hs_radius(F, xx, yy, target, lo, rho0) if lo > 0.0 else 0.0
         z = z_init / rho0 * rho
         G = G0.copy()
         G[0, 1] = z
@@ -197,6 +198,39 @@ def solvable_2414() -> CatalogEntry:
         closed_forms={"hs": ClosedForm(law, applies)},
         tags=frozenset({"solvable", "tamed-symplectic"}),
     )
+
+
+def _hs_radius(F: Callable, x: float, y: float, target: float, lo: float, hi: float) -> float:
+    """The r in [lo, hi] with F(r) = r^2/(2x) - y ln r = target, F(lo) >= target >= F(hi).
+
+    F is decreasing and convex in u = ln r on the bracket (r^2 < x y), so
+    Newton steps in u converge quickly.  A Newton point outside the bracket
+    (or none, where rounding leaves no negative slope) is replaced by the
+    midpoint in u, and one that rounds back to r by the adjacent float
+    toward the root.  Every evaluated point narrows the bracket, which ends
+    as an exact root or two adjacent floats, of which the one with the
+    smaller residual is returned.
+    """
+    r = hi
+    while True:
+        g = F(r) - target
+        if g == 0.0:
+            return r
+        if g > 0.0:
+            lo = r
+        else:
+            hi = r
+        if math.nextafter(lo, hi) == hi:
+            return lo if F(lo) - target <= target - F(hi) else hi
+        slope = r * r / x - y   # dF/du, negative where F decreases
+        nxt = r * math.exp(min(-g / slope, 700.0)) if slope < 0.0 else math.nan
+        if nxt == r:
+            nxt = math.nextafter(r, hi if g > 0.0 else lo)
+        if not lo < nxt < hi:
+            nxt = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+        r = nxt
 
 
 def torus(n: int) -> CatalogEntry:

@@ -21,7 +21,9 @@ meet ``error_target / 10`` relative error each (see ``flows``).
 Outputs: ``<prefix>_trajectory.csv`` with a commented header naming every
 column, and ``<prefix>_summary.json``, whose ``telemetry`` block holds the
 run's ``rhs_calls``, ``accepted_steps`` and ``rejected_steps``.  The
-PLURIFLOW_OUTDIR environment variable overrides the output directory.
+summary and the ``verify`` report are strict JSON: a non-finite number is
+written as the string "nan", "inf" or "-inf".  The PLURIFLOW_OUTDIR
+environment variable overrides the output directory.
 
 Exit codes: 0 success, 2 validation failure, 3 blow-down before t_end,
 4 integrator failure (a step below dt * 2**-max_halvings needed), 5 parse
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -86,6 +89,22 @@ def _complex_array(data) -> np.ndarray:
 def _encode_complex(arr: np.ndarray):
     out = np.stack([np.asarray(arr).real, np.asarray(arr).imag], axis=-1)
     return out.tolist()
+
+
+def _strict_json(obj):
+    """obj with every non-finite float replaced by "nan", "inf" or "-inf"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
+def _dump_json(obj, fh) -> None:
+    json.dump(_strict_json(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
 
 
 def load_algebra(spec: dict) -> tuple[LieBracket, catalog.CatalogEntry | None]:
@@ -234,7 +253,7 @@ def run_config(cfg: dict) -> int:
         "termination": traj.termination,
         "t_final": traj.times[-1],
         "final_state": dict(zip(final_names, final_vals)),
-        "monitor_max": {k: max(v) for k, v in traj.monitors.items()},
+        "monitor_max": {k: traj.monitor_max(k) for k in traj.monitors},
         "telemetry": traj.stats,
     }
     if entry is not None:
@@ -243,8 +262,7 @@ def run_config(cfg: dict) -> int:
             summary["closed_form_max_relative_deviation"] = dev
     summary_path = os.path.join(outdir, f"{prefix}_summary.json")
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(summary, fh)
 
     if traj.termination == "positivity_floor":
         return EXIT_BLOWDOWN
@@ -267,8 +285,7 @@ def verify_config(cfg: dict) -> int:
     fit = static_defect(mu, g, 0.0)
     report["static_fit"] = {"r_best": fit.r_best, "residual_best": fit.residual_best,
                             "defect_at_r0": fit.defect}
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    _dump_json(report, sys.stdout)
     return EXIT_OK
 
 

@@ -116,7 +116,8 @@ class FlowTrajectory:
             self.monitors.setdefault(name, []).append(float(value))
 
     def monitor_max(self, name: str) -> float:
-        return max(self.monitors[name]) if self.monitors.get(name) else float("nan")
+        """Largest value of a channel; NaN if any value is NaN or there is none."""
+        return float(np.max(self.monitors[name])) if self.monitors.get(name) else float("nan")
 
     def final_state(self):
         return self.states[-1]

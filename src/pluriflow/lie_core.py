@@ -48,7 +48,8 @@ def adapted_frame(n: int):
 
     Returns (S, Sinv, J_real, jdiag) where S maps real coordinates to
     complexified ones (columns are the E_i in the Z-basis), Sinv is its
-    inverse, and J_real is J0 on real coordinates.
+    inverse, and J_real is J0 on real coordinates.  The arrays are cached
+    and shared between callers, so they are read-only.
     """
     if n not in _FRAME_CACHE:
         m = 2 * n
@@ -62,7 +63,10 @@ def adapted_frame(n: int):
         J_real = np.zeros((m, m))
         J_real[n:, :n] = np.eye(n)
         J_real[:n, n:] = -np.eye(n)
-        _FRAME_CACHE[n] = (S, Sinv, J_real, standard_j_diag(n))
+        frame = (S, Sinv, J_real, standard_j_diag(n))
+        for arr in frame:
+            arr.setflags(write=False)
+        _FRAME_CACHE[n] = frame
     return _FRAME_CACHE[n]
 
 
@@ -130,14 +134,14 @@ class Subspace:
 
 
 def jacobi_defect(mu: LieBracket) -> float:
-    """Max norm of mu(mu(X, Y), Z) + cyclic over complexified basis triples."""
+    """Max norm of mu(mu(X, Y), Z) + cyclic over complexified basis triples.
+
+    The three cyclic terms are index permutations of one contraction
+    D[a, b, c, e] = c_abd c_dce.
+    """
     c = mu.coeffs
-    j = (
-        np.einsum("abd,dce->abce", c, c)
-        + np.einsum("bcd,dae->abce", c, c)
-        + np.einsum("cad,dbe->abce", c, c)
-    )
-    return float(np.abs(j).max())
+    D = np.tensordot(c, c, ([2], [0]))
+    return float(np.abs(D + D.transpose(2, 0, 1, 3) + D.transpose(1, 2, 0, 3)).max())
 
 
 def nijenhuis_defect(mu: LieBracket) -> float:
@@ -216,14 +220,38 @@ def bracket_norm_sq(mu: LieBracket) -> float:
 def principal_angles(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> np.ndarray:
     """Principal angles between two subspaces given by (orthonormal) bases.
 
-    Uses the sine-based formulation, which stays accurate for tiny angles
-    where arccos of a cosine saturates around 1e-8.
+    Angles come in descending order.  The algorithm is the one of
+    ``scipy.linalg.subspace_angles`` (Knyazev & Argentati, SIAM J. Sci.
+    Comput. 23 (2002)): orthonormalize both bases by SVD, take the singular
+    values sigma of Qa^H Qb as cosines, and for every angle whose cosine has
+    sigma^2 >= 1/2 take the arcsine of the matching singular value of the
+    residual instead, which stays accurate for tiny angles where arccos of
+    a cosine saturates around 1e-8.  scipy indexes that mask by descending
+    cosine against angles in descending order, so when some angles lie
+    above pi/4 and some below it takes the ill-conditioned branch for both
+    kinds; here each angle takes its own well-conditioned branch.
     """
-    import scipy.linalg
-
     qa = a.basis if isinstance(a, Subspace) else np.linalg.qr(np.asarray(a, dtype=complex))[0]
     qb = b.basis if isinstance(b, Subspace) else np.linalg.qr(np.asarray(b, dtype=complex))[0]
-    return scipy.linalg.subspace_angles(qa, qb)
+    qa, qb = _orth(qa), _orth(qb)
+    cross = qa.conj().T @ qb
+    sigma = np.linalg.svd(cross, compute_uv=False)
+    if qa.shape[1] >= qb.shape[1]:
+        resid = qb - qa @ cross
+    else:
+        resid = qa - qb @ cross.conj().T
+    cosines = sigma[::-1]   # of the angles in descending order, like the sines
+    small = cosines ** 2 >= 0.5
+    sines = np.linalg.svd(resid, compute_uv=False) if small.any() else 0.0
+    return np.where(small, np.arcsin(np.clip(sines, -1.0, 1.0)),
+                    np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of a, by SVD (scipy.linalg.orth)."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+    return u[:, :int(np.sum(s > tol))]
 
 
 def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
@@ -283,6 +311,7 @@ def export_real_structure(mu: LieBracket):
 
 
 def _qr_pivoted(a: np.ndarray):
+    # scipy only here: LAPACK's tie-breaking among equal-norm pivots sets the frame
     import scipy.linalg
 
     return scipy.linalg.qr(a, pivoting=True)

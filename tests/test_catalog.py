@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pluriflow import catalog
+from pluriflow.catalog import _hs_radius
 from pluriflow.errors import ValidationError
 from pluriflow.bismut_ricci import rho11_matrix, rho20_matrix
 from pluriflow.hermitian_forms import HermitianMetric, closedness_defect, skt_defect
@@ -182,3 +185,80 @@ def test_closed_forms_satisfy_their_odes(rng):
     worst = _fd_check(cfi.evaluate, G0,
                       lambda G: -rho11_matrix(i.bracket.coeffs, G), ts)
     assert worst < 1e-6
+
+
+def _hs_seeds(rng, count):
+    """Seeds of the closed-form tamed family: beta01 = i G01, |G01| < 0.8 sqrt(G00 G11)."""
+    for _ in range(count):
+        x0, y0 = rng.uniform(0.5, 2.0, 2)
+        z0 = rng.uniform(0.0, 0.8) * np.sqrt(x0 * y0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        G = np.array([[x0, z0], [np.conj(z0), y0]])
+        yield G, np.array([[0.0, 1j * z0], [-1j * z0, 0.0]])
+
+
+def _hs_equation(G, t):
+    """F and the target of the hs law's radius equation F(|z(t)|) = F(|z0|) + t/4."""
+    x, y = G[0, 0].real, G[1, 1].real
+
+    def F(r):
+        return r * r / (2.0 * x) - y * math.log(r)
+
+    return F, F(abs(G[0, 1])) + t / 4.0
+
+
+def test_hs_law_matches_brentq(rng):
+    from scipy.optimize import brentq
+
+    law = catalog.solvable_2414().closed_forms["hs"].evaluate
+    compared = 0
+    for G, beta in _hs_seeds(rng, 100):
+        F, _ = _hs_equation(G, 0.0)
+        rho0 = abs(G[0, 1])
+        for t in (0.1, 1.0, 5.0, 20.0):
+            Gt, beta_t = law((G, beta), t)
+            _, target = _hs_equation(G, t)
+            lo = rho0
+            while F(lo) < target:
+                lo *= 0.5
+            # the reference is converged to 4 eps relative, not to an absolute tolerance
+            ref = brentq(lambda r: F(r) - target, lo, rho0, xtol=1e-300,
+                         rtol=4 * np.finfo(float).eps)
+            got = abs(Gt[0, 1])
+            assert np.angle(Gt[0, 1]) == pytest.approx(np.angle(G[0, 1]), abs=1e-15)
+            assert beta_t[0, 1] == 1j * Gt[0, 1]
+            if got > 1e-3:
+                assert abs(got - ref) <= 1e-13 * ref
+                compared += 1
+    assert compared > 300
+
+
+def test_hs_law_residual_at_late_time(rng):
+    law = catalog.solvable_2414().closed_forms["hs"].evaluate
+    for G, beta in _hs_seeds(rng, 100):
+        Gt, _ = law((G, beta), 50.0)
+        F, target = _hs_equation(G, 50.0)
+        assert abs(Gt[0, 1]) > 0.0
+        assert abs(F(abs(Gt[0, 1])) - target) <= 4 * np.spacing(target)
+        # |z(1e4)| < exp(-2500 / G11) underflows to zero
+        assert law((G, beta), 1e4)[0][0, 1] == 0.0
+
+
+def test_hs_radius_converges_in_few_evaluations(rng):
+    most = 0
+    for G, _ in _hs_seeds(rng, 100):
+        x, y, rho0 = G[0, 0].real, G[1, 1].real, abs(G[0, 1])
+        for t in (0.1, 1.0, 5.0, 20.0, 50.0):
+            F, target = _hs_equation(G, t)
+            lo = rho0
+            while F(lo) < target:
+                lo *= 0.5
+            calls = []
+
+            def counted(r):
+                calls.append(r)
+                return F(r)
+
+            r = _hs_radius(counted, x, y, target, lo, rho0)
+            assert lo <= r <= rho0
+            most = max(most, len(calls))
+    assert most <= 16

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import pluriflow
 from pluriflow import catalog, cli
 
 
@@ -209,3 +216,66 @@ def test_run_summary_telemetry_and_repeatable_csv(tmp_path):
         tel = summary["telemetry"]
         assert tel["accepted_steps"] > 0
         assert tel["rhs_calls"] == 1 + 6 * (tel["accepted_steps"] + tel["rejected_steps"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_summary_is_strict_json_with_non_finite_values(tmp_path):
+    out = tmp_path / "out"
+    huge = [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
+    cfg = {
+        "algebra": {"catalog": "solvable_2414"},
+        "flow": "hs",
+        "seed": {"metric": [[[1.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [1.0, 0.0]]], "beta": huge},
+        "integrator": {"dt": 1e-2, "t_end": 1.0, "sample_every": 10},
+        "output": {"directory": str(out), "prefix": "huge"},
+    }
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_INTEGRATOR
+    summary = json.loads((out / "huge_summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["termination"] == "step_rejected"
+    assert summary["initial_defects"]["closedness_defect"] == "nan"
+    assert summary["monitor_max"]["closedness_defect"] == "nan"
+    assert summary["final_state"]["beta_1_re"] == "inf"
+    assert summary["final_state"]["beta_2_re"] == "-inf"
+    assert summary["monitor_max"]["min_eigenvalue"] == pytest.approx(0.7)
+
+
+_COLD_START = """
+import sys
+from pluriflow import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("verb, cfg", [
+    ("run", {"algebra": {"catalog": "heisenberg_kt"}, "flow": "pluriclosed",
+             "integrator": {"dt": 1e-2, "t_end": 0.5, "sample_every": 10}}),
+    ("run", {"algebra": {"catalog": "solvable_2414"}, "flow": "hs",
+             "integrator": {"dt": 1e-2, "t_end": 0.5, "sample_every": 10}}),
+    ("run", {"algebra": {"catalog": "random_2step_skt", "params": {"n": 3, "seed": 2}},
+             "flow": "bracket_gauged",
+             "integrator": {"dt": 1e-2, "t_end": 0.2, "sample_every": 5}}),
+    ("verify", {"algebra": {"catalog": "random_2step_skt", "params": {"n": 3, "seed": 2}}}),
+], ids=["heisenberg-pluriclosed", "solvable_2414-hs", "random-bracket_gauged", "verify"])
+def test_catalog_commands_do_not_load_scipy(tmp_path, verb, cfg):
+    # a fresh interpreter: this one has scipy loaded by other tests
+    cfg = dict(cfg, seed="default", output={"directory": str(tmp_path / "out"), "prefix": "cold"})
+    src = str(Path(pluriflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", _COLD_START, verb,
+                          write_cfg(tmp_path, "cfg.json", cfg)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    if verb == "run":
+        summary = json.loads((tmp_path / "out" / "cold_summary.json").read_text())
+        assert summary["termination"] == "reached_t_end"
+        if cfg["flow"] == "hs":   # the closed form was evaluated
+            assert summary["closed_form_max_relative_deviation"] < 1e-6

@@ -426,3 +426,11 @@ def test_delta_mu_matches_einsum_definition(rng):
         expected = (np.einsum("da,dbc->abc", A, c) + np.einsum("db,adc->abc", A, c)
                     - np.einsum("abd,cd->abc", c, A))
         assert _rel(delta_mu(c, A), expected) < 1e-14
+
+
+def test_monitor_max_propagates_nan():
+    traj = flows.FlowTrajectory(kind="pluriclosed")
+    traj.monitors = {"a": [1.0, float("nan")], "b": [float("nan"), 1.0], "c": [0.5, 2.0]}
+    assert np.isnan(traj.monitor_max("a")) and np.isnan(traj.monitor_max("b"))
+    assert traj.monitor_max("c") == 2.0
+    assert np.isnan(traj.monitor_max("missing"))

@@ -8,6 +8,7 @@ from pluriflow.errors import SingularTransformError, ValidationError
 from pluriflow.lie_core import (
     LieBracket,
     act,
+    adapted_frame,
     bracket_norm_sq,
     center,
     export_real_structure,
@@ -44,6 +45,23 @@ def test_jacobi_defect_perturbed_matches_bruteforce(heisenberg):
     got = jacobi_defect(mu)
     assert got > 0
     assert got == pytest.approx(brute_jacobi(mu), rel=1e-12)
+
+
+def test_jacobi_defect_single_contraction_matches_three_einsums(rng, heisenberg, inoue):
+    def three_einsums(c):
+        return np.abs(np.einsum("abd,dce->abce", c, c)
+                      + np.einsum("bcd,dae->abce", c, c)
+                      + np.einsum("cad,dbe->abce", c, c)).max()
+
+    brackets = [heisenberg.bracket, inoue.bracket] + [
+        catalog.random_2step_skt(n, 7).bracket for n in (2, 3, 4, 5)]
+    for n in (2, 3, 5):   # generic tensors, far from Jacobi
+        m = 2 * n
+        raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        brackets.append(LieBracket(raw - raw.transpose(1, 0, 2), validate=False))
+    for mu in brackets:
+        scale = np.abs(mu.coeffs).max() ** 2
+        assert abs(jacobi_defect(mu) - three_einsums(mu.coeffs)) <= 64 * np.finfo(float).eps * scale
 
 
 def test_nilpotency_step(heisenberg, inoue):
@@ -176,3 +194,56 @@ def test_heisenberg_real_bracket_is_e1e2_to_e4(heisenberg):
     expected = np.zeros(4)
     expected[3] = 1.0
     assert np.abs(c[0, 2, :] - expected).max() < 1e-14
+
+
+def test_adapted_frame_is_read_only():
+    for arr in adapted_frame(3):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    S = adapted_frame(3)[0]
+    assert S[0, 0] == 1.0 and S[3, 0] == 1.0
+
+
+def _random_basis(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols))
+                        + 1j * rng.standard_normal((rows, cols)))[0]
+
+
+def _scipy_condition(ref):
+    """Condition of each angle on the branch scipy's subspace_angles evaluates it.
+
+    scipy takes arcsin (condition 1/cos) at the positions where the
+    descending cosines have sigma^2 >= 1/2, and arccos (1/sin) elsewhere.
+    """
+    arcsine = np.cos(ref)[::-1] ** 2 >= 0.5
+    return np.where(arcsine, 1.0 / np.cos(ref), 1.0 / np.sin(ref))
+
+
+def test_principal_angles_match_scipy(rng):
+    from scipy.linalg import subspace_angles
+
+    for da in range(1, 6):
+        for db in range(1, 6):
+            for _ in range(8):
+                qa, qb = _random_basis(rng, 10, da), _random_basis(rng, 10, db)
+                got = principal_angles(qa, qb)
+                ref = subspace_angles(qa, qb)
+                assert got.shape == (min(da, db),)
+                assert np.all(np.abs(got - ref) <= 1e-14 * _scipy_condition(ref))
+    # near-coincident pairs: Qb = Qa cos(theta) + Q_perp sin(theta)
+    for dim in range(1, 6):
+        for theta in (1e-9, 1e-10, 1e-11, 1e-12):
+            q = _random_basis(rng, 10, 2 * dim)
+            qa = q[:, :dim]
+            qb = qa * np.cos(theta) + q[:, dim:] * np.sin(theta)
+            got = principal_angles(qa, qb)
+            assert np.abs(got - subspace_angles(qa, qb)).max() <= 1e-14
+            assert np.abs(got - theta).max() <= 1e-14
+
+
+def test_principal_angles_mixed_pair_keeps_small_angle(rng):
+    # one angle above pi/4 and one tiny: each must take its own accurate branch
+    q = _random_basis(rng, 10, 4)
+    theta = np.array([1.5, 1e-9])
+    qb = q[:, :2] * np.cos(theta) + q[:, 2:] * np.sin(theta)
+    assert np.abs(principal_angles(q[:, :2], qb) - theta).max() <= 1e-15
