@@ -29,7 +29,7 @@ from .hermitian_forms import (
     fundamental_form,
     require_integrable,
 )
-from .lie_core import LieBracket, center, nilpotency_step
+from .lie_core import LieBracket, center, complexify, nilpotency_step
 
 # Pairing of the Bismut Ricci form against omega_0 under form_inner equals
 # the Bismut scalar; calibrated once on the Heisenberg family.
@@ -48,11 +48,7 @@ class Endomorphism:
 
     def full(self) -> np.ndarray:
         """Block-diagonal action on the complexified coordinates."""
-        n = self.n
-        F = np.zeros((2 * n, 2 * n), dtype=complex)
-        F[:n, :n] = self.matrix
-        F[n:, n:] = np.conj(self.matrix)
-        return F
+        return complexify(self.matrix)
 
     def real_matrix(self) -> np.ndarray:
         """Action on real adapted coordinates."""

@@ -134,9 +134,7 @@ def bismut(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8):
                     + np.einsum("ab,ibc->iac", gram, mats)).max()
     jres = np.abs(np.einsum("iab,bc->iac", mats, J_real)
                   - np.einsum("ab,ibc->iac", J_real, mats)).max()
-    struct = mu.real_structure()
-    torsion = gamma - gamma.transpose(1, 0, 2) - struct
-    c_check = np.einsum("ijm,mx->xij", torsion, gram)
+    c_check = np.einsum("ijm,mx->xij", torsion_tensor(conn, mu), gram)
     skew = np.abs(c_check - c_real).max()
     if compat > tol * scale or jres > tol * scale or skew > tol * max(scale, 1.0):
         raise ValidationError(
@@ -160,7 +158,7 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> RicciD
     require_integrable(mu, tol)
     gram = gram_real(g)
     graminv = np.linalg.inv(gram)
-    S, Sinv, J_real, _ = adapted_frame(mu.n)
+    _, Sinv, J_real, _ = adapted_frame(mu.n)
 
     lc = levi_civita(mu, g)
     Rg = curvature(lc, mu)
@@ -172,8 +170,7 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> RicciD
 
     gj = gram @ J_real
     rho_real = 0.5 * np.einsum("kr,ijmk,mr->ij", graminv, Rb.coeffs, gj, optimize=True)
-    rho_tensor = np.einsum("iA,ij,jB->AB", Sinv, rho_real, Sinv)
-    rho_b_trace = InvariantForm(rho_tensor, mu.n, validate=False)
+    rho_b_trace = InvariantForm(transform_form(rho_real, Sinv), mu.n, validate=False)
 
     omega = fundamental_form(g)
     ddstar = d_mu(mu, codifferential(mu, g, omega))

@@ -36,6 +36,7 @@ from .hermitian_forms import (
     codifferential,
     d_mu,
     fundamental_form,
+    skt_defect,
     taming_margin,
 )
 from .bismut_ricci import (
@@ -48,7 +49,10 @@ from .bismut_ricci import (
 )
 from .lie_core import (
     LieBracket,
+    act,
+    bracket_norm_sq,
     center,
+    complexify,
     jacobi_defect,
     nijenhuis_defect,
     nilpotency_step,
@@ -267,8 +271,6 @@ def _hermitize(G: np.ndarray) -> np.ndarray:
 def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig,
                      direction: float = 1.0) -> FlowTrajectory:
     """Integrate dg/dt = -(rho_B)^{1,1} with the bracket held fixed."""
-    from .hermitian_forms import skt_defect
-
     n = mu0.n
     if g0.n != n:
         raise ValidationError("metric dimension does not match the bracket")
@@ -325,10 +327,7 @@ def _bracket_field(n: int, with_gauge: bool) -> Callable:
     def f(y: np.ndarray) -> np.ndarray:
         coeffs = y[:size_mu].reshape(2 * n, 2 * n, 2 * n)
         Pc = _rho11_at_identity(coeffs, n).T
-        Pfull = np.zeros((2 * n, 2 * n), dtype=complex)
-        Pfull[:n, :n] = Pc
-        Pfull[n:, n:] = np.conj(Pc)
-        dmu = 0.5 * delta_mu(coeffs, Pfull)
+        dmu = 0.5 * delta_mu(coeffs, complexify(Pc))
         if not with_gauge:
             return dmu.reshape(-1)
         h = y[size_mu:].reshape(n, n)
@@ -357,14 +356,12 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
     f = _bracket_field(n, with_gauge)
     xi0 = center(mu0)
     g0 = HermitianMetric(np.eye(n))
-    from .hermitian_forms import skt_defect
-
     traj = FlowTrajectory(kind="bracket_gauged" if with_gauge else "bracket")
 
     def channels(coeffs: np.ndarray) -> dict[str, float]:
         mu = LieBracket(coeffs, validate=False)
         ch = {
-            "bracket_norm_sq": float(np.sum(mu.real_structure() ** 2)),
+            "bracket_norm_sq": bracket_norm_sq(mu),
             "jacobi_defect": jacobi_defect(mu),
             "nijenhuis_defect": nijenhuis_defect(mu),
             "skt_defect": skt_defect(mu, g0),
@@ -430,8 +427,6 @@ def equivalence_check(traj_metric: FlowTrajectory,
         raise ValidationError("first trajectory must be a metric flow")
     if not isinstance(traj_bracket_gauged.states[0], BracketWithGaugeState):
         raise ValidationError("second trajectory must be a gauged bracket flow")
-
-    from .lie_core import act
 
     mu0_coeffs = traj_bracket_gauged.states[0].mu.coeffs
     mu0 = LieBracket(mu0_coeffs, validate=False)

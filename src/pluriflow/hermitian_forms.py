@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrabilityError, ValidationError
-from .lie_core import LieBracket, adapted_frame, conj_tensor, standard_j_diag
+from .lie_core import LieBracket, adapted_frame, change_frame, conj_tensor, standard_j_diag
 
 DEFAULT_INTEGRABILITY_TOL = 1e-8
 
@@ -42,6 +42,8 @@ class HermitianMetric:
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {G.shape}")
         if validate:
+            if not np.isfinite(G).all():
+                raise ValidationError("metric has non-finite entries")
             herm = np.abs(G - G.conj().T).max()
             if herm > tol * max(np.abs(G).max(), 1.0):
                 raise ValidationError(f"metric not Hermitian (defect {herm:.3e})")
@@ -321,7 +323,7 @@ def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> I
     if r == 1:
         return InvariantForm(np.zeros((), dtype=complex), n, validate=False)
     U, Uinv = orthonormal_real_frame(g)
-    mu_u = np.einsum("Ai,Bj,ABC,kC->ijk", U, U, mu.coeffs, Uinv, optimize=True)
+    mu_u = change_frame(mu.coeffs, U, Uinv)
     form_u = transform_form(form.tensor, U)
     W = np.tensordot(np.conj(mu_u), form_u, axes=([0, 1], [0, 1]))
     alt = sum(sign * W.transpose(perm) for perm, sign in _perms_with_signs(r - 1))
@@ -368,16 +370,10 @@ def taming_margin(Omega: TamedForm) -> float:
     """
     g = Omega.omega
     S, _, J_real, _ = adapted_frame(g.n)
-    W = (S.T @ _form_matrix(fundamental_form(g)) @ S).real
+    W = (S.T @ fundamental_form(g).tensor @ S).real
     A = J_real.T @ W
     sym = 0.5 * (A + A.T)
     return float(np.linalg.eigvalsh(sym).min() / 2.0)
-
-
-def _form_matrix(form: InvariantForm) -> np.ndarray:
-    if form.degree != 2:
-        raise ValidationError("expected a 2-form")
-    return form.tensor
 
 
 @dataclass

@@ -15,6 +15,10 @@ symmetry conj(coeffs[A, B, C]) = coeffs[bar A, bar B, bar C].  The Jacobi
 identity is deliberately not enforced at construction; ``jacobi_defect``
 measures it and flows check it explicitly.
 
+Every frame change of a bracket goes through ``change_frame(coeffs, M,
+Minv)``, which writes it in the frame with columns M: out[a, b, c] =
+M[i, a] M[j, b] coeffs[i, j, k] Minv[c, k]; ``act`` uses M = complexify(h^-1).
+
 Norm convention: ``bracket_norm_sq`` sums |mu(E_i, E_j)|^2 over ordered
 pairs of real adapted basis vectors, treating {E_i} as orthonormal.
 """
@@ -79,6 +83,22 @@ def conj_tensor(T: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def complexify(h: np.ndarray) -> np.ndarray:
+    """Block diag(h, conj h): the action of h in GL(n, C) on complexified coordinates."""
+    n = h.shape[0]
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    H[:n, :n] = h
+    H[n:, n:] = np.conj(h)
+    return H
+
+
+def change_frame(coeffs: np.ndarray, M: np.ndarray, Minv: np.ndarray) -> np.ndarray:
+    """The frame change of the module docstring, as three matrix products."""
+    m = coeffs.shape[0]
+    out = (M.T @ coeffs.reshape(m, m * m)).reshape(m, m, m)
+    return (M.T @ out) @ Minv.T
+
+
 def symmetrize_bracket(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Project a raw tensor onto exact antisymmetry and reality."""
     T = 0.5 * (coeffs - coeffs.transpose(1, 0, 2))
@@ -94,6 +114,8 @@ class LieBracket:
             raise ValidationError(f"expected shape (2n, 2n, 2n), got {coeffs.shape}")
         self.n = coeffs.shape[0] // 2
         if validate:
+            if not np.isfinite(coeffs).all():
+                raise ValidationError("bracket has non-finite structure constants")
             scale = max(np.abs(coeffs).max(), 1.0)
             anti = np.abs(coeffs + coeffs.transpose(1, 0, 2)).max()
             real = np.abs(coeffs - conj_tensor(coeffs, self.n)).max()
@@ -111,7 +133,7 @@ class LieBracket:
     def real_structure(self) -> np.ndarray:
         """Structure constants over the real adapted basis, shape (2n, 2n, 2n)."""
         S, Sinv, _, _ = adapted_frame(self.n)
-        c = np.einsum("ia,jb,ijk,ck->abc", S, S, self.coeffs, Sinv, optimize=True)
+        c = change_frame(self.coeffs, S, Sinv)
         if np.abs(c.imag).max() > 1e-10 * max(np.abs(c).max(), 1.0):
             raise ValidationError("real structure constants have a large imaginary part")
         return c.real.copy()
@@ -200,14 +222,7 @@ def act(h: np.ndarray, mu: LieBracket, cond_bound: float = DEFAULT_COND_BOUND) -
     cond = np.linalg.cond(h)
     if not np.isfinite(cond) or cond > cond_bound:
         raise SingularTransformError(f"condition number {cond:.3e} exceeds bound {cond_bound:.1e}")
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, :n] = h
-    H[n:, n:] = np.conj(h)
-    Hinv = np.zeros_like(H)
-    hinv = np.linalg.inv(h)
-    Hinv[:n, :n] = hinv
-    Hinv[n:, n:] = np.conj(hinv)
-    new = np.einsum("pa,qb,pqr,cr->abc", Hinv, Hinv, mu.coeffs, H)
+    new = change_frame(mu.coeffs, complexify(np.linalg.inv(h)), complexify(h))
     return LieBracket(symmetrize_bracket(new, n), validate=False)
 
 
@@ -222,7 +237,8 @@ def principal_angles(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> np.n
 
     Angles come in descending order.  The algorithm is the one of
     ``scipy.linalg.subspace_angles`` (Knyazev & Argentati, SIAM J. Sci.
-    Comput. 23 (2002)): orthonormalize both bases by SVD, take the singular
+    Comput. 23 (2002)): orthonormalize raw bases by SVD (a ``Subspace``
+    basis is orthonormal already and is used as given), take the singular
     values sigma of Qa^H Qb as cosines, and for every angle whose cosine has
     sigma^2 >= 1/2 take the arcsine of the matching singular value of the
     residual instead, which stays accurate for tiny angles where arccos of
@@ -231,9 +247,8 @@ def principal_angles(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> np.n
     above pi/4 and some below it takes the ill-conditioned branch for both
     kinds; here each angle takes its own well-conditioned branch.
     """
-    qa = a.basis if isinstance(a, Subspace) else np.linalg.qr(np.asarray(a, dtype=complex))[0]
-    qb = b.basis if isinstance(b, Subspace) else np.linalg.qr(np.asarray(b, dtype=complex))[0]
-    qa, qb = _orth(qa), _orth(qb)
+    qa = a.basis if isinstance(a, Subspace) else _orth(np.asarray(a, dtype=complex))
+    qb = b.basis if isinstance(b, Subspace) else _orth(np.asarray(b, dtype=complex))
     cross = qa.conj().T @ qb
     sigma = np.linalg.svd(cross, compute_uv=False)
     if qa.shape[1] >= qb.shape[1]:
@@ -256,11 +271,7 @@ def _orth(a: np.ndarray) -> np.ndarray:
 
 def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
     """Image of a subspace under the complexified action of h in GL(n, C)."""
-    n = h.shape[0]
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, :n] = h
-    H[n:, n:] = np.conj(h)
-    img = H @ sub.basis
+    img = complexify(h) @ sub.basis
     q, _ = np.linalg.qr(img)
     return Subspace(basis=q, dim=sub.dim)
 
@@ -281,6 +292,8 @@ def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | N
     m = c_real.shape[0]
     if c_real.shape != (m, m, m) or J.shape != (m, m) or m % 2:
         raise ValidationError("real structure constants and J have inconsistent shapes")
+    if not (np.isfinite(c_real).all() and np.isfinite(J).all()):
+        raise ValidationError("structure constants and J must be finite")
     if np.abs(J @ J + np.eye(m)).max() > 1e-10:
         raise ValidationError("J is not an almost complex structure (J^2 != -I)")
     n = m // 2
@@ -291,20 +304,20 @@ def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | N
         _, _, piv = _qr_pivoted(cand)
         frame = cand[:, piv[:n]]
     frame = np.asarray(frame, dtype=complex)
-    if frame.shape != (m, n):
-        raise ValidationError(f"frame must have shape ({m}, {n})")
+    if frame.shape != (m, n) or not np.isfinite(frame).all():
+        raise ValidationError(f"frame must be a finite array of shape ({m}, {n})")
     M = np.concatenate([frame, np.conj(frame)], axis=1)
     if np.linalg.cond(M) > 1e10:
         raise SingularTransformError("(1,0) frame is numerically degenerate")
     Minv = np.linalg.inv(M)
-    coeffs = np.einsum("ia,jb,ijk,ck->abc", M, M, c_real.astype(complex), Minv)
+    coeffs = change_frame(c_real, M, Minv)
     return LieBracket(symmetrize_bracket(coeffs, n), validate=False), frame
 
 
 def export_real_structure(mu: LieBracket):
     """Real structure constants, J matrix and frame in the adapted basis.
 
-    Round-trips exactly through ``from_real_structure``.
+    Round-trips to rounding through ``from_real_structure``.
     """
     _, Sinv, J_real, _ = adapted_frame(mu.n)
     return mu.real_structure(), J_real.copy(), Sinv[:, : mu.n].copy()

@@ -244,6 +244,30 @@ def test_summary_is_strict_json_with_non_finite_values(tmp_path):
     assert summary["monitor_max"]["min_eigenvalue"] == pytest.approx(0.7)
 
 
+def _non_finite_config(case):
+    if case == "catalog_param":
+        return {"algebra": {"catalog": "inoue_s0", "params": {"a": float("inf")}}}
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    if case == "structure_constants":
+        algebra = cli.export_config({"algebra": {"catalog": "heisenberg_kt"}})
+        algebra["structure_constants"][0][2][1] = float("inf")
+        return {"algebra": algebra, "seed": {"metric": identity}}
+    identity[0][0][0] = float("inf")
+    return {"algebra": {"catalog": "heisenberg_kt"}, "seed": {"metric": identity}}
+
+
+@pytest.mark.parametrize("case", ["catalog_param", "structure_constants", "seed_metric"])
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_non_finite_config_exits_validation(tmp_path, capsys, verb, case):
+    cfg = dict(_non_finite_config(case), flow="pluriclosed",
+               integrator={"dt": 1e-2, "t_end": 0.1, "sample_every": 10},
+               output={"directory": str(tmp_path / "out"), "prefix": "nf"})
+    assert cli.main([verb, write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "nf_trajectory.csv").exists()
+
+
 _COLD_START = """
 import sys
 from pluriflow import cli

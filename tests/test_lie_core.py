@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import abelian, brute_jacobi, brute_nijenhuis
+from conftest import abelian, brute_jacobi, brute_nijenhuis, random_pd_metric
 from pluriflow import catalog
 from pluriflow.errors import SingularTransformError, ValidationError
+from pluriflow.hermitian_forms import orthonormal_real_frame
 from pluriflow.lie_core import (
     LieBracket,
     act,
     adapted_frame,
     bracket_norm_sq,
     center,
+    change_frame,
+    complexify,
     export_real_structure,
     from_real_structure,
     jacobi_defect,
     nijenhuis_defect,
     nilpotency_step,
     principal_angles,
+    symmetrize_bracket,
     transform_subspace,
 )
 
@@ -247,3 +251,39 @@ def test_principal_angles_mixed_pair_keeps_small_angle(rng):
     theta = np.array([1.5, 1e-9])
     qb = q[:, :2] * np.cos(theta) + q[:, 2:] * np.sin(theta)
     assert np.abs(principal_angles(q[:, :2], qb) - theta).max() <= 1e-15
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _frame_change_bound(coeffs, M, Minv):
+    m = coeffs.shape[0]
+    return (16 * m * np.finfo(float).eps * np.abs(M).max() ** 2
+            * np.abs(coeffs).max() * np.abs(Minv).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_change_frame_matches_einsum_definitions(rng, n):
+    # reference: the frame change of real_structure, codifferential, act and
+    # from_real_structure, each written as one einsum over its operand kinds
+    m = 2 * n
+    c = _random_complex(rng, m, m, m)
+    S, Sinv, _, _ = adapted_frame(n)
+    U, Uinv = orthonormal_real_frame(random_pd_metric(rng, n))
+    h = _random_complex(rng, n, n)
+    H, Hinv = complexify(h), complexify(np.linalg.inv(h))
+    M = _random_complex(rng, m, m)
+    cases = [
+        ("ia,jb,ijk,ck->abc", c, S, Sinv),
+        ("Ai,Bj,ABC,kC->ijk", c, U, Uinv),
+        ("pa,qb,pqr,cr->abc", c, Hinv, H),
+        ("ia,jb,ijk,ck->abc", rng.standard_normal((m, m, m)), M, np.linalg.inv(M)),
+    ]
+    for spec, coeffs, A, Ainv in cases:
+        ref = np.einsum(spec, A, A, coeffs, Ainv)
+        err = np.abs(change_frame(coeffs, A, Ainv) - ref).max()
+        assert err <= _frame_change_bound(coeffs, A, Ainv), spec
+    ref = symmetrize_bracket(np.einsum("pa,qb,pqr,cr->abc", Hinv, Hinv, c, H), n)
+    err = np.abs(act(h, LieBracket(c, validate=False)).coeffs - ref).max()
+    assert err <= _frame_change_bound(c, Hinv, H)
