@@ -29,7 +29,7 @@ from .hermitian_forms import (
     fundamental_form,
     require_integrable,
 )
-from .lie_core import LieBracket, center, complexify, nilpotency_step
+from .lie_core import LieBracket, adapted_frame, center, complexify, nilpotency_step
 
 # Pairing of the Bismut Ricci form against omega_0 under form_inner equals
 # the Bismut scalar; calibrated once on the Heisenberg family.
@@ -52,8 +52,6 @@ class Endomorphism:
 
     def real_matrix(self) -> np.ndarray:
         """Action on real adapted coordinates."""
-        from .lie_core import adapted_frame
-
         S, Sinv, _, _ = adapted_frame(self.n)
         M = Sinv @ self.full() @ S
         return M.real

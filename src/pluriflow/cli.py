@@ -66,6 +66,7 @@ from .flows import (
 from .lie_core import (
     LieBracket,
     center,
+    export_real_structure,
     from_real_structure,
     jacobi_defect,
     nijenhuis_defect,
@@ -298,8 +299,6 @@ def catalog_listing() -> int:
 def export_config(cfg: dict) -> dict:
     """Round-trip helper: catalog entry -> explicit structure constants."""
     mu, _ = load_algebra(cfg["algebra"])
-    from .lie_core import export_real_structure
-
     c, J, frame = export_real_structure(mu)
     return {
         "structure_constants": c.tolist(),

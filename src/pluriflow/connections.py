@@ -30,7 +30,14 @@ from .hermitian_forms import (
     require_integrable,
     transform_form,
 )
-from .lie_core import LieBracket, adapted_frame, center, nilpotency_step, standard_j_diag
+from .lie_core import (
+    LieBracket,
+    adapted_frame,
+    center,
+    jacobi_defect,
+    nilpotency_step,
+    standard_j_diag,
+)
 
 
 @dataclass
@@ -86,8 +93,6 @@ def levi_civita(mu: LieBracket, g: HermitianMetric, jacobi_tol: float = 1e-8) ->
 
     2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y).
     """
-    from .lie_core import jacobi_defect
-
     if jacobi_defect(mu) > jacobi_tol:
         raise ValidationError("bracket violates the Jacobi identity beyond tolerance")
     c = mu.real_structure()

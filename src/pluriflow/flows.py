@@ -31,6 +31,7 @@ import numpy as np
 from .errors import GridMismatchError, StepRejectedError, ValidationError
 from .hermitian_forms import (
     HermitianMetric,
+    InvariantForm,
     TamedForm,
     closedness_defect,
     codifferential,
@@ -294,12 +295,8 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
         if two_step:
             omega = fundamental_form(gm)
             ddstar = d_mu(mu0, codifferential(mu0, gm, omega))
-            rho11 = rho_tensor(mu0.coeffs, G)
-            mask11 = np.zeros((2 * n, 2 * n))
-            mask11[:n, n:] = 1.0
-            mask11[n:, :n] = 1.0
-            resid = (rho11 + ddstar.tensor) * mask11
-            ch["reduction_defect"] = float(np.abs(resid).max())
+            rho = InvariantForm(rho_tensor(mu0.coeffs, G), n, validate=False)
+            ch["reduction_defect"] = (rho + ddstar).bidegree_part(1, 1).max_norm()
         return ch
 
     def record(t: float, y: np.ndarray) -> None:

@@ -11,12 +11,14 @@ pairs.  Under this convention the fundamental form of the identity
 metric is -i sum_r zeta^r wedge zeta^rbar and real adapted basis vectors
 have squared length 2.
 
-Form inner products expand in a g-orthonormal real coframe and sum
-coefficients over strictly increasing multi-indices.  In that frame the
-codifferential is the conjugate-transpose contraction of d_mu: for an
-r-form psi, d* psi = -Alt(W) / (2 (r-2)!) with
-W[e, ...] = sum_{a,b} conj(mu[a, b, e]) psi[a, b, ...], Alt the signed sum
-over permutations of the r - 1 slots.
+g measures forms through the slot metric K = diag(conj G^-1, G^-1), the
+Hermitian structure g induces on covectors: <zeta^A, zeta^B> = K[A, B].
+On r-forms it acts slot by slot, <a, b> = sum a[A..] K[A, B].. conj(b[B..]) / r!,
+the sum over increasing multi-indices of a g-orthonormal coframe.  The
+codifferential is the adjoint of d_mu in that product: for an r-form psi,
+d* psi = -Alt(W) / (2 (r-2)!) with
+W[c, ...] = sum conj(mu[i, j, k]) K[A, i] K[B, j] psi[A, B, ...] K^-1[k, c],
+Alt the signed sum over permutations of the r - 1 slots.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrabilityError, ValidationError
-from .lie_core import LieBracket, adapted_frame, change_frame, conj_tensor, standard_j_diag
+from .lie_core import (
+    LieBracket,
+    adapted_frame,
+    complexify,
+    conj_tensor,
+    nijenhuis_defect,
+    standard_j_diag,
+)
 
 DEFAULT_INTEGRABILITY_TOL = 1e-8
 
@@ -50,7 +59,8 @@ class HermitianMetric:
             G = 0.5 * (G + G.conj().T)
             if np.linalg.eigvalsh(G).min() <= 0:
                 raise ValidationError("metric is not positive definite")
-        self.matrix = G
+        self.matrix = G.view()
+        self.matrix.setflags(write=False)
         self.n = G.shape[0]
 
     def min_eigenvalue(self) -> float:
@@ -236,8 +246,6 @@ def d_mu(mu: LieBracket, form: InvariantForm) -> InvariantForm:
 
 
 def require_integrable(mu: LieBracket, tol: float = DEFAULT_INTEGRABILITY_TOL) -> None:
-    from .lie_core import nijenhuis_defect
-
     defect = nijenhuis_defect(mu)
     if defect > tol:
         raise IntegrabilityError(f"Nijenhuis defect {defect:.3e} exceeds {tol:.1e}")
@@ -278,16 +286,6 @@ def gram_real(g: HermitianMetric) -> np.ndarray:
     return gram.real
 
 
-def orthonormal_real_frame(g: HermitianMetric):
-    """g-orthonormal real frame (complexified coordinates) and its inverse."""
-    gram = gram_real(g)
-    L = np.linalg.cholesky(gram)
-    U_real = np.linalg.inv(L).T  # columns: orthonormal vectors in real coords
-    S, _, _, _ = adapted_frame(g.n)
-    U = S @ U_real
-    return U, np.linalg.inv(U)
-
-
 def transform_form(T: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Pull a coefficient tensor through the basis change with columns M[:, j]."""
     out = T
@@ -296,25 +294,26 @@ def transform_form(T: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _slot_metric(g: HermitianMetric) -> np.ndarray:
+    """K = diag(conj G^-1, G^-1), the metric g induces on each covector slot."""
+    return complexify(np.conj(np.linalg.inv(g.matrix)))
+
+
 def form_inner(a: InvariantForm, b: InvariantForm, g: HermitianMetric) -> complex:
-    """Inner product, coefficient sums over increasing indices in a g-orthonormal coframe."""
+    """Inner product sum a[A..] K[A, B].. conj(b[B..]) / r! with the slot metric K."""
     if a.degree != b.degree:
         raise ValidationError("forms must have equal degree")
-    U, _ = orthonormal_real_frame(g)
-    r = a.degree
-    if r == 0:
-        return complex(a.tensor * np.conj(b.tensor))
-    au = transform_form(a.tensor, U)
-    bu = transform_form(b.tensor, U)
-    return complex(np.sum(au * np.conj(bu)) / math.factorial(r))
+    a_up = transform_form(a.tensor, _slot_metric(g))
+    return complex(np.sum(a_up * np.conj(b.tensor)) / math.factorial(a.degree))
 
 
 def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> InvariantForm:
     """Adjoint of d_mu with respect to the g-induced form inner products.
 
-    Computed in the g-orthonormal real frame as the conjugate-transpose
-    contraction -Alt(W) / (2 (r-2)!), W = sum_{a,b} conj(mu_u[a, b, .]) form_u[a, b, ...];
-    a 1-form maps to the zero scalar, since d vanishes on constants.
+    The two contracted slots of the form are raised by the slot metric K,
+    contracted with conj(mu), and the output slot is lowered by
+    K^-1 = diag(conj G, G): -Alt(W) / (2 (r-2)!) as in the module docstring.
+    A 1-form maps to the zero scalar, since d vanishes on constants.
     """
     r = form.degree
     if r < 1:
@@ -322,13 +321,12 @@ def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> I
     n = mu.n
     if r == 1:
         return InvariantForm(np.zeros((), dtype=complex), n, validate=False)
-    U, Uinv = orthonormal_real_frame(g)
-    mu_u = change_frame(mu.coeffs, U, Uinv)
-    form_u = transform_form(form.tensor, U)
-    W = np.tensordot(np.conj(mu_u), form_u, axes=([0, 1], [0, 1]))
+    K = _slot_metric(g)
+    up = np.tensordot(np.tensordot(form.tensor, K, axes=([0], [0])), K, axes=([0], [0]))
+    W = np.tensordot(np.conj(mu.coeffs), up, axes=([0, 1], [r - 2, r - 1]))
+    W = np.tensordot(complexify(np.conj(g.matrix)), W, axes=([0], [0]))
     alt = sum(sign * W.transpose(perm) for perm, sign in _perms_with_signs(r - 1))
-    out_u = -alt / (2 * math.factorial(r - 2))
-    return InvariantForm(transform_form(out_u, Uinv), n, validate=False)
+    return InvariantForm(-alt / (2 * math.factorial(r - 2)), n, validate=False)
 
 
 def skt_defect(mu: LieBracket, g: HermitianMetric,

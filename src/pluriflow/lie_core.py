@@ -124,7 +124,8 @@ class LieBracket:
             if real > tol * scale:
                 raise ValidationError(f"bracket violates reality symmetry (defect {real:.3e})")
             coeffs = symmetrize_bracket(coeffs, self.n)
-        self.coeffs = coeffs
+        self.coeffs = coeffs.view()
+        self.coeffs.setflags(write=False)
 
     @property
     def dim(self) -> int:

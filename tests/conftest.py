@@ -5,13 +5,14 @@ defining formulas, independent of the vectorized library paths they check.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from pluriflow import catalog
-from pluriflow.hermitian_forms import HermitianMetric
-from pluriflow.lie_core import LieBracket, standard_j_diag
+from pluriflow.hermitian_forms import HermitianMetric, gram_real
+from pluriflow.lie_core import LieBracket, adapted_frame, standard_j_diag
 
 
 @pytest.fixture(scope="session")
@@ -105,3 +106,35 @@ def brute_d(mu: LieBracket, T: np.ndarray) -> np.ndarray:
 def assert_form_close(a, b, tol=1e-12, scale=1.0):
     diff = np.abs(np.asarray(a) - np.asarray(b)).max()
     assert diff <= tol * scale, f"forms differ by {diff:.3e}"
+
+
+def orthonormal_real_frame(g: HermitianMetric):
+    """g-orthonormal real frame (complexified coordinates) and its inverse."""
+    L = np.linalg.cholesky(gram_real(g))
+    S, _, _, _ = adapted_frame(g.n)
+    U = S @ np.linalg.inv(L).T  # columns: orthonormal real vectors
+    return U, np.linalg.inv(U)
+
+
+def _to_frame(T: np.ndarray, M: np.ndarray) -> np.ndarray:
+    for _ in range(T.ndim):
+        T = np.tensordot(T, M, axes=([0], [0]))
+    return T
+
+
+def frame_form_inner(a: np.ndarray, b: np.ndarray, g: HermitianMetric) -> complex:
+    """Form inner product as coefficient sums in a g-orthonormal real coframe."""
+    U, _ = orthonormal_real_frame(g)
+    return complex(np.sum(_to_frame(a, U) * np.conj(_to_frame(b, U))) / math.factorial(a.ndim))
+
+
+def frame_codifferential(mu: LieBracket, g: HermitianMetric, T: np.ndarray) -> np.ndarray:
+    """d* of an r-form (r >= 2) as the conjugate-transpose contraction of d_mu
+    in a g-orthonormal real frame: -Alt(W) / (2 (r-2)!)."""
+    r = T.ndim
+    U, Uinv = orthonormal_real_frame(g)
+    mu_u = np.einsum("ia,jb,ijk,ck->abc", U, U, mu.coeffs, Uinv)
+    W = np.tensordot(np.conj(mu_u), _to_frame(T, U), axes=([0, 1], [0, 1]))
+    alt = sum(np.sign(np.prod([q - p for p, q in itertools.combinations(perm, 2)]))
+              * W.transpose(perm) for perm in itertools.permutations(range(r - 1)))
+    return _to_frame(-alt / (2 * math.factorial(r - 2)), Uinv)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import abelian, assert_form_close, brute_d, iwasawa_like, random_pd_metric
+from conftest import (
+    abelian,
+    assert_form_close,
+    brute_d,
+    frame_codifferential,
+    frame_form_inner,
+    iwasawa_like,
+    orthonormal_real_frame,
+    random_pd_metric,
+)
 from pluriflow import catalog
 from pluriflow.errors import ValidationError
 from pluriflow.hermitian_forms import (
@@ -22,7 +31,7 @@ from pluriflow.hermitian_forms import (
     taming_margin,
     transport_metric,
 )
-from pluriflow.lie_core import act, adapted_frame, center
+from pluriflow.lie_core import act, adapted_frame, center, complexify
 
 
 def zeta_wedge(n, *indices):
@@ -34,6 +43,16 @@ def test_metric_validation():
         HermitianMetric(np.array([[1.0, 1.0], [0.0, 1.0]]))  # not Hermitian
     with pytest.raises(ValidationError):
         HermitianMetric(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not positive
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_metric_matrix_read_only_caller_array_writeable(validate):
+    G = np.eye(2, dtype=complex)
+    g = HermitianMetric(G, validate=validate)
+    with pytest.raises(ValueError):
+        g.matrix[0, 0] = 2.0
+    G[0, 0] = 2.0
+    assert G.flags.writeable
 
 
 def test_fundamental_form_identity_and_general():
@@ -182,6 +201,35 @@ def test_codifferential_adjointness(rng):
                 lhs = form_inner(d_mu(mu, alpha), beta, g)
                 rhs = form_inner(alpha, codifferential(mu, g, beta), g)
                 assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_slot_metric_kernels_match_orthonormal_frame(rng, n):
+    # reference: the same products in a g-orthonormal real coframe U, where
+    # U U^H = K = diag(conj G^-1, G^-1).  Differences are bounded by the
+    # inputs' scale, since at top degree on a unimodular algebra d* is pure
+    # rounding and a bound relative to the output would misjudge it.
+    m = 2 * n
+    eps = np.finfo(float).eps
+    for seed in range(2):
+        g = random_pd_metric(rng, n, spread=4.0)
+        mu = catalog.random_2step_skt(n, seed).bracket
+        K = complexify(np.conj(np.linalg.inv(g.matrix)))
+        k_max, kinv_max = np.abs(K).max(), np.abs(g.matrix).max()
+        U, _ = orthonormal_real_frame(g)
+        assert np.abs(U @ U.conj().T - K).max() <= 16 * m * eps * k_max
+        for deg in range(5):
+            a, b = _random_form(rng, m, deg), _random_form(rng, m, deg)
+            got = form_inner(InvariantForm(a, n, validate=False),
+                             InvariantForm(b, n, validate=False), g)
+            scale = np.abs(a).max() * np.abs(b).max() * k_max ** deg
+            assert abs(got - frame_form_inner(a, b, g)) <= 16 * m * m * eps * scale, deg
+            if deg < 2:
+                continue
+            got = codifferential(mu, g, InvariantForm(a, n, validate=False)).tensor
+            scale = np.abs(mu.coeffs).max() * np.abs(a).max() * k_max ** 2 * kinv_max
+            err = np.abs(got - frame_codifferential(mu, g, a)).max()
+            assert err <= 16 * m * m * eps * scale, deg
 
 
 def test_codifferential_of_omega_supported_on_center_duals(heisenberg):

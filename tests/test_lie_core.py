@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import abelian, brute_jacobi, brute_nijenhuis, random_pd_metric
+from conftest import (
+    abelian,
+    brute_jacobi,
+    brute_nijenhuis,
+    orthonormal_real_frame,
+    random_pd_metric,
+)
 from pluriflow import catalog
 from pluriflow.errors import SingularTransformError, ValidationError
-from pluriflow.hermitian_forms import orthonormal_real_frame
 from pluriflow.lie_core import (
     LieBracket,
     act,
@@ -30,6 +35,16 @@ def test_construction_rejects_bad_symmetry():
     c[0, 1, 2] = 1.0  # missing antisymmetric partner
     with pytest.raises(ValidationError):
         LieBracket(c)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_bracket_coeffs_read_only_caller_array_writeable(heisenberg, validate):
+    c = heisenberg.bracket.coeffs.copy()
+    mu = LieBracket(c, validate=validate)
+    with pytest.raises(ValueError):
+        mu.coeffs[0, 1, 2] = 5.0
+    c[0, 1, 2] = 5.0
+    assert c.flags.writeable
 
 
 def test_jacobi_defect_examples(heisenberg):
