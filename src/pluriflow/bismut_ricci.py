@@ -7,10 +7,15 @@ The canonical computation path is rho_B = d_mu(eta) with
     eta_bbar = conj(eta_b),
 
 where g^{kbar r} is the inverse metric entry with barred row index.  The
-first sum collapses to -i mu_{ar}^r independently of the metric.  The
-evolution contract everywhere in this package is dg/dt = -(rho_B)^{1,1}
-in coefficient form, with the sign anchored by the Heisenberg example
-where the standard metric grows like sqrt(1 + t).
+first sum collapses to -i mu_{ar}^r independently of the metric.
+
+On raw arrays, ``rho_tensor`` is the one place where eta meets the bracket:
+rho[a, b] = -mu_ab^c eta_c.  ``rho11_matrix`` and ``rho20_matrix`` are its
+(1,1) and (2,0) blocks, and the right-hand sides of all three flows in
+``flows`` are read off these.  The evolution contract everywhere in this
+package is dg/dt = -(rho_B)^{1,1} in coefficient form, with the sign
+anchored by the Heisenberg example where the standard metric grows like
+sqrt(1 + t).
 """
 
 from __future__ import annotations
@@ -67,10 +72,10 @@ class Endomorphism:
 def eta_components(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Holomorphic components eta_a of the Bismut 1-form, raw-array path."""
     n = G.shape[0]
-    Ginv = np.linalg.inv(G)
-    trace = np.einsum("arr->a", coeffs[:n, :n, :n])
-    mixed = coeffs[:n, n:, n:]  # mu_{r kbar}^{lbar}
-    return -1j * trace + 1j * np.einsum("kr,rkl,al->a", Ginv, mixed, G)
+    trace = coeffs[:n, :n, :n].trace(axis1=1, axis2=2)   # mu_{ar}^r
+    mixed = coeffs[:n, n:, n:].reshape(n * n, n)          # mu_{r kbar}^{lbar}, rows (r, k)
+    t = np.linalg.inv(G).T.reshape(n * n) @ mixed        # t_l = g^{kbar r} mu_{r kbar}^{lbar}
+    return 1j * (G @ t - trace)
 
 
 def eta_vector(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -80,32 +85,20 @@ def eta_vector(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def rho_tensor(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Dense 2-form tensor of rho_B = d(eta), raw-array path."""
-    e = eta_vector(coeffs, G)
-    return -np.einsum("abc,c->ab", coeffs, e)
+    """Dense 2-form tensor of rho_B = d(eta): rho[a, b] = -mu_ab^c eta_c."""
+    return -(coeffs @ eta_vector(coeffs, G))
 
 
 def rho11_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Coefficient matrix rho[i, j] with (rho_B)^{1,1} = -i rho[i, j] z^i w z^jbar."""
-    return rho11_from_eta(coeffs, eta_vector(coeffs, G))
+    n = G.shape[0]
+    return 1j * rho_tensor(coeffs, G)[:n, n:]
 
 
 def rho20_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Values rho_B(Z_i, Z_j) of the (2, 0) block."""
-    return rho20_from_eta(coeffs, eta_vector(coeffs, G))
-
-
-def rho11_from_eta(coeffs: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``rho11_matrix`` from a precomputed ``eta_vector``."""
-    n = e.shape[0] // 2
-    mixed = -np.einsum("ijc,c->ij", coeffs[:n, n:, :], e)  # rho_B(Z_i, Z_jbar)
-    return 1j * mixed
-
-
-def rho20_from_eta(coeffs: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``rho20_matrix`` from a precomputed ``eta_vector``."""
-    n = e.shape[0] // 2
-    return -np.einsum("ijc,c->ij", coeffs[:n, :n, :], e)
+    n = G.shape[0]
+    return rho_tensor(coeffs, G)[:n, :n]
 
 
 def eta(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> InvariantForm:
@@ -172,7 +165,6 @@ class StaticFit:
 
 def static_defect(mu: LieBracket, g: HermitianMetric, r: float, tol: float = 1e-8) -> StaticFit:
     """Distance of (g, rho_B) from the static condition r*omega = (rho_B)^{1,1}."""
-    require_integrable(mu, tol)
     omega = fundamental_form(g).tensor
     rho11 = rho_B(mu, g, tol).bidegree_part(1, 1).tensor
     defect = float(np.abs(r * omega - rho11).max())

@@ -80,9 +80,16 @@ EXIT_INTEGRATOR = 4
 EXIT_PARSE = 5
 
 
+def _real_array(data) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except ValueError as exc:   # ragged nesting or a non-numeric entry
+        raise ValidationError(f"malformed array: {exc}") from None
+
+
 def _complex_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    arr = _real_array(data)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValidationError("complex arrays must use [re, im] pairs in the last axis")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -113,8 +120,8 @@ def load_algebra(spec: dict) -> tuple[LieBracket, catalog.CatalogEntry | None]:
         entry = catalog.get(spec["catalog"], **spec.get("params", {}))
         return entry.bracket, entry
     if "structure_constants" in spec:
-        c = np.asarray(spec["structure_constants"], dtype=float)
-        J = np.asarray(spec["J"], dtype=float)
+        c = _real_array(spec["structure_constants"])
+        J = _real_array(spec["J"])
         frame = _complex_array(spec["frame"]) if "frame" in spec else None
         mu, _ = from_real_structure(c, J, frame)
         return mu, None

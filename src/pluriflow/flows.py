@@ -5,6 +5,9 @@ evolve by dg/dt = -(rho_B)^{1,1} and the (2,0) coefficients of a tamed
 form by dbeta/dt = -(rho_B)^{2,0}.  The bracket flow is
 dmu/dt = (1/2) delta_mu(P_mu) with P_mu read off rho_B at the standard
 metric, and the gauge curve solves dh/dt = -(1/2) P_mu h from h = I.
+Each right-hand side is read off one ``bismut_ricci.rho_tensor`` per call:
+the pluriclosed and bracket fields take its (1,1) block through
+``rho11_matrix``, the Hermitian-symplectic field both blocks of one tensor.
 
 All three flows run through one driver, ``_integrate``: the Dormand-Prince
 5(4) embedded pair with FSAL (the last stage of an accepted step is the
@@ -40,14 +43,7 @@ from .hermitian_forms import (
     skt_defect,
     taming_margin,
 )
-from .bismut_ricci import (
-    eta_vector,
-    p_of_bracket,
-    p_of_metric,
-    rho11_from_eta,
-    rho20_from_eta,
-    rho_tensor,
-)
+from .bismut_ricci import p_of_bracket, p_of_metric, rho11_matrix, rho_tensor
 from .lie_core import (
     LieBracket,
     act,
@@ -245,22 +241,11 @@ def _integrate(field: Callable, y0: np.ndarray, project: Callable,
 
 
 def _pluriclosed_field(mu: LieBracket) -> Callable:
-    """Right-hand side dG/dt = -(rho_B)^{1,1} with constant blocks hoisted."""
-    n = mu.n
-    coeffs = mu.coeffs
-    trace = np.einsum("arr->a", coeffs[:n, :n, :n]).copy()
-    # tensordot(Ginv, mixed, axes=([0, 1], [1, 0])) with its operand prepared once
-    mixed_t = np.ascontiguousarray(coeffs[:n, n:, n:].transpose(1, 0, 2)).reshape(n * n, n)
-    low_h = np.ascontiguousarray(coeffs[:n, n:, :n])
-    low_a = np.ascontiguousarray(coeffs[:n, n:, n:])
+    """Right-hand side dG/dt = -(rho_B)^{1,1}."""
+    coeffs, n = mu.coeffs, mu.n
 
     def f(gflat: np.ndarray) -> np.ndarray:
-        G = gflat.reshape(n, n)
-        Ginv = np.linalg.inv(G)
-        t = np.dot(Ginv.reshape(1, n * n), mixed_t).reshape(n)
-        eta_h = -1j * trace + 1j * (G @ t)
-        rho_mixed = -(low_h @ eta_h + low_a @ np.conj(eta_h))
-        return (-1j * rho_mixed).reshape(-1)
+        return -rho11_matrix(coeffs, gflat.reshape(n, n)).reshape(-1)
 
     return f
 
@@ -311,19 +296,13 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
     return traj
 
 
-def _rho11_at_identity(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """``rho11_matrix(coeffs, I)``: at the standard metric eta needs no inverse."""
-    e = (-1j * np.einsum("arr->a", coeffs[:n, :n, :n])
-         + 1j * np.einsum("kka->a", coeffs[:n, n:, n:]))
-    return rho11_from_eta(coeffs, np.concatenate([e, np.conj(e)]))
-
-
 def _bracket_field(n: int, with_gauge: bool) -> Callable:
     size_mu = (2 * n) ** 3
+    identity = np.eye(n, dtype=complex)
 
     def f(y: np.ndarray) -> np.ndarray:
         coeffs = y[:size_mu].reshape(2 * n, 2 * n, 2 * n)
-        Pc = _rho11_at_identity(coeffs, n).T
+        Pc = rho11_matrix(coeffs, identity).T
         dmu = 0.5 * delta_mu(coeffs, complexify(Pc))
         if not with_gauge:
             return dmu.reshape(-1)
@@ -446,9 +425,9 @@ def _hs_field(mu: LieBracket) -> Callable:
     nsq = n * n
 
     def f(y: np.ndarray) -> np.ndarray:
-        e = eta_vector(coeffs, y[:nsq].reshape(n, n))
-        dG = -rho11_from_eta(coeffs, e)
-        dbeta = -rho20_from_eta(coeffs, e)
+        R = rho_tensor(coeffs, y[:nsq].reshape(n, n))
+        dG = -1j * R[:n, n:]
+        dbeta = -R[:n, :n]
         return np.concatenate([dG.reshape(-1), dbeta.reshape(-1)])
 
     return f

@@ -363,15 +363,12 @@ def taming_margin(Omega: TamedForm) -> float:
     """Smallest eigenvalue of the symmetrized pairing (X, Y) -> Omega(JX, Y).
 
     Only the (1,1) part enters (the (2,0) + (0,2) block is J-anti-invariant
-    and cancels in the symmetrization), so the computation uses it alone;
-    normalized so the identity metric has margin 1.
+    and cancels in the symmetrization).  That part is the real Gram form of
+    Omega's metric, whose eigenvalues are the metric's own, each twice; with
+    the identity metric normalized to margin 1, the margin is the smallest
+    eigenvalue of the metric.
     """
-    g = Omega.omega
-    S, _, J_real, _ = adapted_frame(g.n)
-    W = (S.T @ fundamental_form(g).tensor @ S).real
-    A = J_real.T @ W
-    sym = 0.5 * (A + A.T)
-    return float(np.linalg.eigvalsh(sym).min() / 2.0)
+    return Omega.omega.min_eigenvalue()
 
 
 @dataclass

@@ -228,9 +228,12 @@ def act(h: np.ndarray, mu: LieBracket, cond_bound: float = DEFAULT_COND_BOUND) -
 
 
 def bracket_norm_sq(mu: LieBracket) -> float:
-    """<mu, mu> summed over ordered real-basis pairs, {E_i} orthonormal."""
-    c = mu.real_structure()
-    return float(np.sum(c * c))
+    """<mu, mu> summed over ordered real-basis pairs, {E_i} orthonormal.
+
+    The columns of S / sqrt(2) (``adapted_frame``) are orthonormal, so the
+    sum of squares of the real structure constants is 2 sum |mu_ab^c|^2.
+    """
+    return float(2.0 * np.sum(np.abs(mu.coeffs) ** 2))
 
 
 def principal_angles(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> np.ndarray:

@@ -13,12 +13,14 @@ from pluriflow.bismut_ricci import (
     p_of_bracket,
     p_of_metric,
     rho11_matrix,
+    rho20_matrix,
     rho_B,
     rho_B_2step,
     static_defect,
 )
+from pluriflow.flows import _bracket_field, _hs_field, _pluriclosed_field, delta_mu
 from pluriflow.hermitian_forms import HermitianMetric, d_mu
-from pluriflow.lie_core import LieBracket, act, adapted_frame, standard_j_diag
+from pluriflow.lie_core import LieBracket, act, adapted_frame, complexify, standard_j_diag
 
 
 def center_family_bracket(z):
@@ -102,6 +104,35 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
         for j in range(n):
             val = -1j * np.dot(mu.coeffs[i, n + j, :], e)
             assert val == pytest.approx(r[i, j], rel=1e-12, abs=1e-14)
+
+    # rho11_matrix, rho20_matrix and the three flow fields are blocks of the
+    # canonical rho_B = d_mu(eta), at the identity and at a random metric
+    cases = [catalog.inoue_s0(), catalog.solvable_2414()]
+    cases += [catalog.random_2step_skt(n, n) for n in (2, 3, 4, 5)]
+    for mu in (entry.bracket for entry in cases):
+        n, c = mu.n, mu.coeffs
+        g0 = HermitianMetric(np.eye(n))
+        for g in (g0, random_pd_metric(rng, n)):
+            G = g.matrix
+            T = rho_B(mu, g).tensor
+            rho11 = 1j * T[:n, n:]
+            tol = 1e-13 * np.abs(c).max() * np.abs(eta(mu, g).tensor).max()
+            assert np.abs(rho11_matrix(c, G) - rho11).max() <= tol
+            assert np.abs(rho20_matrix(c, G) - T[:n, :n]).max() <= tol
+            assert np.abs(_pluriclosed_field(mu)(G.reshape(-1)) + rho11.reshape(-1)).max() <= tol
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            hs = _hs_field(mu)(np.concatenate([G.reshape(-1), (B - B.T).reshape(-1)]))
+            assert np.abs(hs[:n * n] + rho11.reshape(-1)).max() <= tol
+            assert np.abs(hs[n * n:] + T[:n, :n].reshape(-1)).max() <= tol
+        # the bracket field reads P_mu off rho_B at the standard metric
+        P = (1j * rho_B(mu, g0).tensor[:n, n:]).T
+        tol = 1e-13 * np.abs(c).max() * np.abs(eta(mu, g0).tensor).max()
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out = _bracket_field(n, True)(np.concatenate([c.reshape(-1), h.reshape(-1)]))
+        dmu = out[:(2 * n) ** 3].reshape(2 * n, 2 * n, 2 * n)
+        assert np.abs(dmu - 0.5 * delta_mu(c, complexify(P))).max() <= 6 * n * np.abs(c).max() * tol
+        assert np.abs(out[(2 * n) ** 3:] + 0.5 * (P @ h).reshape(-1)).max() <= n * np.abs(h).max() * tol
+        assert np.array_equal(_bracket_field(n, False)(c.reshape(-1)), dmu.reshape(-1))
 
 
 def test_rho_2step_shortcut(rng, heisenberg):

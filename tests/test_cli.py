@@ -245,18 +245,32 @@ def test_summary_is_strict_json_with_non_finite_values(tmp_path):
 
 
 def _non_finite_config(case):
+    """A config with a non-finite or malformed number in the named place."""
     if case == "catalog_param":
         return {"algebra": {"catalog": "inoue_s0", "params": {"a": float("inf")}}}
     identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    if case == "structure_constants":
+    if case in ("structure_constants", "non_numeric_structure_constants", "ragged_J"):
         algebra = cli.export_config({"algebra": {"catalog": "heisenberg_kt"}})
-        algebra["structure_constants"][0][2][1] = float("inf")
+        if case == "ragged_J":
+            algebra["J"][0] = algebra["J"][0][:-1]
+        else:
+            algebra["structure_constants"][0][2][1] = (
+                float("inf") if case == "structure_constants" else "a")
         return {"algebra": algebra, "seed": {"metric": identity}}
-    identity[0][0][0] = float("inf")
+    if case == "ragged_metric":
+        identity[1] = identity[1][:1]
+    elif case == "non_numeric_metric":
+        identity[0][1][0] = "a"
+    elif case == "scalar_metric":
+        identity = 1.0
+    else:
+        identity[0][0][0] = float("inf")
     return {"algebra": {"catalog": "heisenberg_kt"}, "seed": {"metric": identity}}
 
 
-@pytest.mark.parametrize("case", ["catalog_param", "structure_constants", "seed_metric"])
+@pytest.mark.parametrize("case", ["catalog_param", "structure_constants", "seed_metric",
+                                  "ragged_metric", "non_numeric_metric", "scalar_metric",
+                                  "non_numeric_structure_constants", "ragged_J"])
 @pytest.mark.parametrize("verb", ["run", "verify"])
 def test_non_finite_config_exits_validation(tmp_path, capsys, verb, case):
     cfg = dict(_non_finite_config(case), flow="pluriclosed",

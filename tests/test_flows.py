@@ -19,10 +19,8 @@ from pluriflow.flows import (
     _hermitize,
     _hs_field,
     _pluriclosed_field,
-    _rho11_at_identity,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm
-from pluriflow.bismut_ricci import rho11_matrix
 from pluriflow.lie_core import bracket_norm_sq, symmetrize_bracket
 
 
@@ -407,14 +405,6 @@ def test_bracket_flow_rejected_trials_do_not_warn():
         traj = bracket_flow(mu, cfg)
     assert traj.termination == "reached_t_end"
     assert traj.stats["rejected_steps"] > 0
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_rho11_at_identity_matches_rho11_matrix(n):
-    for seed in range(3):
-        c = catalog.random_2step_skt(n, seed).bracket.coeffs
-        expected = rho11_matrix(c, np.eye(n, dtype=complex))
-        assert _rel(_rho11_at_identity(c, n), expected) < 1e-14
 
 
 def test_delta_mu_matches_einsum_definition(rng):

@@ -180,6 +180,12 @@ def test_bracket_norm_sq(heisenberg):
     c[2, 0, 3] = np.conj(z)
     mu = LieBracket(c)
     assert bracket_norm_sq(mu) == pytest.approx(8 * abs(z) ** 2, rel=1e-12)
+    # <mu, mu> is the sum of squares of the real structure constants
+    entries = [catalog.inoue_s0(0.7, 1.3), catalog.solvable_2414()]
+    entries += [catalog.random_2step_skt(n, n) for n in (2, 3, 4, 5)]
+    for mu in [heisenberg.bracket] + [e.bracket for e in entries]:
+        expected = float(np.sum(mu.real_structure() ** 2))
+        assert bracket_norm_sq(mu) == pytest.approx(expected, rel=1e-14)
 
 
 def test_catalog_brackets_pass_structural_invariants():
