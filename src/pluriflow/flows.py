@@ -36,6 +36,7 @@ from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
     TamedForm,
+    _skt_norm,
     closedness_defect,
     codifferential,
     d_mu,
@@ -272,12 +273,13 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
     traj = FlowTrajectory(kind="pluriclosed")
 
     def channels(G: np.ndarray) -> dict[str, float]:
-        gm = HermitianMetric(G, validate=False)
+        # mu0 never changes, so the seed's skt_defect call has checked its integrability
         ch = {
             "min_eigenvalue": float(np.linalg.eigvalsh(G).min()),
-            "skt_defect": skt_defect(mu0, gm),
+            "skt_defect": _skt_norm(mu0.coeffs, G),
         }
         if two_step:
+            gm = HermitianMetric(G, validate=False)
             omega = fundamental_form(gm)
             ddstar = d_mu(mu0, codifferential(mu0, gm, omega))
             rho = InvariantForm(rho_tensor(mu0.coeffs, G), n, validate=False)

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from pluriflow import catalog
-from pluriflow.hermitian_forms import HermitianMetric, gram_real
-from pluriflow.lie_core import LieBracket, adapted_frame, standard_j_diag
+from pluriflow.hermitian_forms import (
+    HermitianMetric,
+    d_mu,
+    form_inner,
+    fundamental_form,
+    gram_real,
+)
+from pluriflow.lie_core import LieBracket, adapted_frame, standard_j_diag, symmetrize_bracket
 
 
 @pytest.fixture(scope="session")
@@ -101,6 +107,26 @@ def brute_d(mu: LieBracket, T: np.ndarray) -> np.ndarray:
                     val += sign * c[args[i], args[j], e] * T[(e,) + rest]
         out[args] = val
     return out
+
+
+def dense_skt_defect(mu: LieBracket, g: HermitianMetric) -> float:
+    """The SKT defect on dense forms: the (2,2) part of d of the (2,1) part of
+    d omega, measured by ``form_inner``."""
+    d1 = d_mu(mu, fundamental_form(g)).bidegree_part(2, 1)
+    d2 = d_mu(mu, d1).bidegree_part(2, 2)
+    if d2.max_norm() == 0.0:
+        return 0.0
+    return float(np.sqrt(form_inner(d2, d2, g).real))
+
+
+def generic_integrable_bracket(rng, n):
+    """Random antisymmetric, real tensor with c[h, h, a] = c[a, a, h] = 0: J0 is
+    integrable, while Jacobi and the SKT condition fail at O(1)."""
+    m = 2 * n
+    raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+    raw[:n, :n, n:] = 0.0
+    raw[n:, n:, :n] = 0.0
+    return LieBracket(symmetrize_bracket(raw, n), validate=False)
 
 
 def assert_form_close(a, b, tol=1e-12, scale=1.0):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_skt_defect
 from pluriflow import catalog
 from pluriflow.catalog import _hs_radius
 from pluriflow.errors import ValidationError
@@ -136,6 +137,16 @@ def _fd_check(evaluate, seed, rhs, t_samples, rng_scale=1.0):
             scale = max(np.abs(comp).max(), 1e-9)
             worst = max(worst, float(np.abs(d - comp).max() / scale))
     return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_draws_unchanged_by_dense_skt_defect(monkeypatch, n):
+    # random_2step_skt accepts a draw when skt_defect < 1e-10; the block
+    # rule's rounding must never change which draw is accepted
+    drawn = [catalog.random_2step_skt(n, seed).bracket.coeffs for seed in range(21)]
+    monkeypatch.setattr(catalog, "skt_defect", dense_skt_defect)
+    for seed, coeffs in enumerate(drawn):
+        assert np.array_equal(catalog.random_2step_skt(n, seed).bracket.coeffs, coeffs)
 
 
 def test_closed_forms_satisfy_their_odes(rng):

@@ -5,8 +5,10 @@ from conftest import (
     abelian,
     assert_form_close,
     brute_d,
+    dense_skt_defect,
     frame_codifferential,
     frame_form_inner,
+    generic_integrable_bracket,
     iwasawa_like,
     orthonormal_real_frame,
     random_pd_metric,
@@ -31,7 +33,14 @@ from pluriflow.hermitian_forms import (
     taming_margin,
     transport_metric,
 )
-from pluriflow.lie_core import act, adapted_frame, center, complexify
+from pluriflow.lie_core import (
+    act,
+    adapted_frame,
+    center,
+    complexify,
+    jacobi_defect,
+    nijenhuis_defect,
+)
 
 
 def zeta_wedge(n, *indices):
@@ -270,6 +279,18 @@ def test_skt_defect_equivalence_invariance(rng, heisenberg):
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 2 * np.eye(3)
     moved = skt_defect(act(h, mu), transport_metric(h, g))
     assert moved == pytest.approx(base, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_skt_defect_block_rule_matches_dense_forms(rng, n):
+    # generic integrable tensors, not Jacobi: every block term is O(1)
+    for _ in range(3):
+        mu = generic_integrable_bracket(rng, n)
+        assert nijenhuis_defect(mu) == 0.0 and jacobi_defect(mu) > 0.1
+        for g in (HermitianMetric(np.eye(n)), random_pd_metric(rng, n)):
+            expected = dense_skt_defect(mu, g)
+            assert expected > 0.1
+            assert abs(skt_defect(mu, g) - expected) <= 1e-13 * expected
 
 
 def test_lee_form(rng, heisenberg, inoue, torus2):

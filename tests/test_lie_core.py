@@ -83,6 +83,21 @@ def test_jacobi_defect_single_contraction_matches_three_einsums(rng, heisenberg,
         assert abs(jacobi_defect(mu) - three_einsums(mu.coeffs)) <= 64 * np.finfo(float).eps * scale
 
 
+def test_jacobi_defect_split_product_matches_tensordot(rng, heisenberg, inoue, solvable):
+    def tensordot_formula(c):
+        D = np.tensordot(c, c, ([2], [0]))
+        return float(np.abs(D + D.transpose(2, 0, 1, 3) + D.transpose(1, 2, 0, 3)).max())
+
+    brackets = [heisenberg.bracket, inoue.bracket, solvable.bracket] + [
+        catalog.random_2step_skt(n, seed).bracket for n in (2, 3, 4, 5) for seed in (0, 7)]
+    for n in (2, 3, 4, 5):   # generic tensors, far from Jacobi
+        m = 2 * n
+        raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        brackets.append(LieBracket(symmetrize_bracket(raw, n), validate=False))
+    for mu in brackets:
+        assert jacobi_defect(mu) == tensordot_formula(mu.coeffs)
+
+
 def test_nilpotency_step(heisenberg, inoue):
     assert nilpotency_step(abelian()) == 1
     assert nilpotency_step(heisenberg.bracket) == 2
@@ -100,6 +115,22 @@ def test_center(heisenberg, solvable):
     expected[3, 1] = 1.0
     assert principal_angles(xi.basis, expected).max() < 1e-12
     assert center(solvable.bracket).dim == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_center_thin_svd_matches_full_svd_basis(n, heisenberg, inoue, solvable):
+    def full_svd_basis(mu, tol=1e-9):
+        m = mu.dim
+        _, s, vh = np.linalg.svd(mu.coeffs.transpose(1, 2, 0).reshape(m * m, m),
+                                 full_matrices=True)
+        return vh.conj().T[:, s <= tol * s[0]]
+
+    brackets = [catalog.random_2step_skt(n, seed).bracket for seed in range(10)]
+    brackets += [catalog.torus(n).bracket]
+    if n == 2:
+        brackets += [heisenberg.bracket, inoue.bracket, solvable.bracket]
+    for mu in brackets:
+        assert np.array_equal(center(mu).basis, full_svd_basis(mu))
 
 
 def test_nijenhuis_defect(heisenberg):
