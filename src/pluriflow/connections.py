@@ -10,6 +10,13 @@ if violated, which pins the sign conventions.
 Curvature follows R(X, Y) = [nabla_X, nabla_Y] - nabla_{[X, Y]} and the
 Ricci traces use ric(X, Y) = g^{kr} R(e_k, X, Y, e_r) together with
 rho(X, Y) = (1/2) g^{kr} g(R(X, Y) e_k, J e_r).
+
+The public entries check their input (integrability, Jacobi) and hand the
+checked real structure constants and Gram matrix to private kernels, so
+``ricci_forms`` checks its bracket once and builds one Levi-Civita
+connection for both curvatures.  The kernels contract by matrix products
+and ``tensordot``: the Koszul terms are transposes of one product, each
+curvature is two products, and no einsum path search runs per call.
 """
 
 from __future__ import annotations
@@ -93,16 +100,26 @@ def levi_civita(mu: LieBracket, g: HermitianMetric, jacobi_tol: float = 1e-8) ->
 
     2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y).
     """
+    c, gram, graminv = _checked_real_data(mu, g, jacobi_tol)
+    return Connection(coeffs=_koszul(c, gram, graminv), metric_compatible=True, j_parallel=False)
+
+
+def _checked_real_data(mu: LieBracket, g: HermitianMetric, jacobi_tol: float):
+    """The Jacobi check of every public entry, then the real structure
+    constants, the real Gram matrix and its inverse that the kernels share."""
     if jacobi_defect(mu) > jacobi_tol:
         raise ValidationError("bracket violates the Jacobi identity beyond tolerance")
-    c = mu.real_structure()
     gram = gram_real(g)
-    k1 = np.einsum("ijl,lk->ijk", c, gram)
-    k2 = np.einsum("jkl,li->ijk", c, gram)
-    k3 = np.einsum("kil,lj->ijk", c, gram)
-    rhs = 0.5 * (k1 - k2 + k3)
-    gamma = np.einsum("kl,ijl->ijk", np.linalg.inv(gram), rhs)
-    return Connection(coeffs=gamma, metric_compatible=True, j_parallel=False)
+    return mu.real_structure(), gram, np.linalg.inv(gram)
+
+
+def _koszul(c: np.ndarray, gram: np.ndarray, graminv: np.ndarray) -> np.ndarray:
+    """Levi-Civita coefficients from one product X[i, j, k] = g(mu(E_i, E_j), E_k):
+    the three Koszul terms are X, X[j, k, i] and X[k, i, j]."""
+    m = c.shape[0]
+    X = (c.reshape(m * m, m) @ gram).reshape(m, m, m)
+    rhs = 0.5 * (X - X.transpose(2, 0, 1) + X.transpose(1, 2, 0))
+    return rhs @ graminv.T
 
 
 def torsion_three_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
@@ -121,26 +138,28 @@ def bismut(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8):
     tolerance, which catches convention errors early.
     """
     require_integrable(mu, tol)
-    lc = levi_civita(mu, g, jacobi_tol=max(tol, 1e-8))
+    c, gram, graminv = _checked_real_data(mu, g, max(tol, 1e-8))
+    return _bismut(mu, g, _koszul(c, gram, graminv), c, gram, graminv, tol)
+
+
+def _bismut(mu: LieBracket, g: HermitianMetric, lc: np.ndarray, c: np.ndarray,
+            gram: np.ndarray, graminv: np.ndarray, tol: float):
+    """``bismut`` on checked data, from the Levi-Civita coefficients ``lc``."""
     c_form = torsion_three_form(mu, g)
     S, _, J_real, _ = adapted_frame(mu.n)
     c_real_t = transform_form(c_form.tensor, S)
     if np.abs(c_real_t.imag).max() > 1e-9 * max(np.abs(c_real_t).max(), 1.0):
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
-    gram = gram_real(g)
-    graminv = np.linalg.inv(gram)
-    gamma = lc.coeffs + 0.5 * np.einsum("kl,ijl->ijk", graminv, c_real)
+    gamma = lc + 0.5 * (c_real @ graminv.T)
     conn = Connection(coeffs=gamma, metric_compatible=True, j_parallel=True)
 
     scale = max(np.abs(gamma).max(), 1.0)
     mats = conn.matrices()
-    compat = np.abs(np.einsum("iab,ac->ibc", mats, gram)
-                    + np.einsum("ab,ibc->iac", gram, mats)).max()
-    jres = np.abs(np.einsum("iab,bc->iac", mats, J_real)
-                  - np.einsum("ab,ibc->iac", J_real, mats)).max()
-    c_check = np.einsum("ijm,mx->xij", torsion_tensor(conn, mu), gram)
-    skew = np.abs(c_check - c_real).max()
+    compat = np.abs(mats.transpose(0, 2, 1) @ gram + gram @ mats).max()
+    jres = np.abs(mats @ J_real - J_real @ mats).max()
+    torsion = gamma - gamma.transpose(1, 0, 2) - c
+    skew = np.abs((torsion @ gram).transpose(2, 0, 1) - c_real).max()
     if compat > tol * scale or jres > tol * scale or skew > tol * max(scale, 1.0):
         raise ValidationError(
             f"Bismut residuals too large (compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e})")
@@ -149,32 +168,42 @@ def bismut(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8):
 
 def curvature(conn: Connection, mu: LieBracket) -> CurvatureTensor:
     """R(X, Y) = [nabla_X, nabla_Y] - nabla_{mu(X, Y)} on the real basis."""
-    mats = conn.matrices()
-    struct = mu.real_structure()
-    comm = np.einsum("iab,jbc->ijac", mats, mats)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    lower = np.einsum("ijk,kac->ijac", struct, mats)
-    return CurvatureTensor(coeffs=comm - lower)
+    return CurvatureTensor(coeffs=_curvature(conn.matrices(), mu.real_structure()))
+
+
+def _curvature(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``curvature`` as two products: (mats[i] @ mats[j])[a, c] for every (i, j),
+    and sum_k c[i, j, k] mats[k]."""
+    m = c.shape[0]
+    prod = mats.reshape(m * m, m) @ mats.transpose(1, 0, 2).reshape(m, m * m)
+    comm = prod.reshape(m, m, m, m).transpose(0, 2, 1, 3)
+    lower = (c.reshape(m * m, m) @ mats.reshape(m, m * m)).reshape(m, m, m, m)
+    return comm - comm.transpose(1, 0, 2, 3) - lower
 
 
 def ricci_forms(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> RicciData:
     """Ricci tensors of both connections plus the trace-path Bismut Ricci form
-    and the Chern Ricci form rho_C = rho_B + d d* omega."""
+    and the Chern Ricci form rho_C = rho_B + d d* omega.
+
+    The bracket is checked once, the Jacobi identity against 1e-8 as in
+    ``levi_civita``, and one Levi-Civita connection serves both curvatures.
+    """
     require_integrable(mu, tol)
-    gram = gram_real(g)
-    graminv = np.linalg.inv(gram)
+    c, gram, graminv = _checked_real_data(mu, g, 1e-8)
     _, Sinv, J_real, _ = adapted_frame(mu.n)
 
-    lc = levi_civita(mu, g)
-    Rg = curvature(lc, mu)
-    ric_g = np.einsum("kr,kimj,mr->ij", graminv, Rg.coeffs, gram, optimize=True)
+    lc = _koszul(c, gram, graminv)
+    bc, _ = _bismut(mu, g, lc, c, gram, graminv, tol)
+    Rg = _curvature(lc.transpose(0, 2, 1), c)
+    Rb = _curvature(bc.matrices(), c)
 
-    bc, _ = bismut(mu, g, tol)
-    Rb = curvature(bc, mu)
-    ric_b = np.einsum("kr,kimj,mr->ij", graminv, Rb.coeffs, gram, optimize=True)
-
-    gj = gram @ J_real
-    rho_real = 0.5 * np.einsum("kr,ijmk,mr->ij", graminv, Rb.coeffs, gj, optimize=True)
+    # ric(X, Y) = M[k, m] R[k, X, m, Y] and rho(X, Y) = Mj[k, m] R[X, Y, m, k] / 2
+    # with M = g^-1 g^T and Mj = g^-1 (g J)^T
+    M = graminv @ gram.T
+    ric_g = np.tensordot(M, Rg, axes=([0, 1], [0, 2]))
+    ric_b = np.tensordot(M, Rb, axes=([0, 1], [0, 2]))
+    Mj = graminv @ (gram @ J_real).T
+    rho_real = 0.5 * np.tensordot(Rb, Mj, axes=([2, 3], [1, 0]))
     rho_b_trace = InvariantForm(transform_form(rho_real, Sinv), mu.n, validate=False)
 
     omega = fundamental_form(g)

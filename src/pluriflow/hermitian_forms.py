@@ -253,7 +253,11 @@ def d_mu(mu: LieBracket, form: InvariantForm) -> InvariantForm:
 
 
 def require_integrable(mu: LieBracket, tol: float = DEFAULT_INTEGRABILITY_TOL) -> None:
-    defect = nijenhuis_defect(mu)
+    _check_nijenhuis(nijenhuis_defect(mu), tol)
+
+
+def _check_nijenhuis(defect: float, tol: float = DEFAULT_INTEGRABILITY_TOL) -> None:
+    """``require_integrable`` judging a Nijenhuis defect the caller already has."""
     if defect > tol:
         raise IntegrabilityError(f"Nijenhuis defect {defect:.3e} exceeds {tol:.1e}")
 

@@ -35,6 +35,7 @@ DEFAULT_KERNEL_TOL = 1e-9
 DEFAULT_COND_BOUND = 1e12
 
 _FRAME_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_NIJENHUIS_FACTOR_CACHE: dict[int, np.ndarray] = {}
 
 
 def bar_indices(n: int) -> np.ndarray:
@@ -178,13 +179,18 @@ def jacobi_defect(mu: LieBracket) -> float:
 def nijenhuis_defect(mu: LieBracket) -> float:
     """Max norm of the Nijenhuis tensor of J0 with respect to mu."""
     n = mu.n
-    j = standard_j_diag(n)
-    factor = (
-        j[:, None, None] * j[None, :, None]
-        - j[:, None, None] * j[None, None, :]
-        - j[None, :, None] * j[None, None, :]
-        - 1.0
-    )
+    factor = _NIJENHUIS_FACTOR_CACHE.get(n)
+    if factor is None:
+        # depends on n only, so it is built once per n and shared read-only
+        j = standard_j_diag(n)
+        factor = (
+            j[:, None, None] * j[None, :, None]
+            - j[:, None, None] * j[None, None, :]
+            - j[None, :, None] * j[None, None, :]
+            - 1.0
+        )
+        factor.setflags(write=False)
+        _NIJENHUIS_FACTOR_CACHE[n] = factor
     return float(np.abs(factor * mu.coeffs).max())
 
 

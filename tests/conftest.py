@@ -17,6 +17,7 @@ from pluriflow.hermitian_forms import (
     form_inner,
     fundamental_form,
     gram_real,
+    transform_form,
 )
 from pluriflow.lie_core import LieBracket, adapted_frame, standard_j_diag, symmetrize_bracket
 
@@ -129,6 +130,27 @@ def generic_integrable_bracket(rng, n):
     return LieBracket(symmetrize_bracket(raw, n), validate=False)
 
 
+def non_integrable_bracket():
+    """mu(Z_1, Z_2) = 0.37 Z_1bar at n = 2: antisymmetric and real, Nijenhuis defect O(1)."""
+    c = np.zeros((4, 4, 4), dtype=complex)
+    c[0, 1, 2] = c[2, 3, 0] = 0.37
+    c[1, 0, 2] = c[3, 2, 0] = -0.37
+    return LieBracket(c)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap the function ``name`` under its binding in each module; every call
+    through any of them appends to the one returned list."""
+    calls = []
+    for module in modules:
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def assert_form_close(a, b, tol=1e-12, scale=1.0):
     diff = np.abs(np.asarray(a) - np.asarray(b)).max()
     assert diff <= tol * scale, f"forms differ by {diff:.3e}"
@@ -164,3 +186,61 @@ def frame_codifferential(mu: LieBracket, g: HermitianMetric, T: np.ndarray) -> n
     alt = sum(np.sign(np.prod([q - p for p, q in itertools.combinations(perm, 2)]))
               * W.transpose(perm) for perm in itertools.permutations(range(r - 1)))
     return _to_frame(-alt / (2 * math.factorial(r - 2)), Uinv)
+
+
+# The curvature path as index contractions, one einsum per formula: the
+# references for the matrix-product kernels in ``connections``.
+
+def einsum_levi_civita(mu: LieBracket, g: HermitianMetric) -> np.ndarray:
+    """Koszul formula 2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y)."""
+    c = mu.real_structure()
+    gram = gram_real(g)
+    k1 = np.einsum("ijl,lk->ijk", c, gram)
+    k2 = np.einsum("jkl,li->ijk", c, gram)
+    k3 = np.einsum("kil,lj->ijk", c, gram)
+    rhs = 0.5 * (k1 - k2 + k3)
+    return np.einsum("kl,ijl->ijk", np.linalg.inv(gram), rhs)
+
+
+def einsum_bismut(mu: LieBracket, g: HermitianMetric, c_form) -> np.ndarray:
+    """Bismut coefficients nabla^g + (1/2) g^-1 c for the torsion 3-form ``c_form``."""
+    S, _, _, _ = adapted_frame(mu.n)
+    c_real = transform_form(c_form.tensor, S).real
+    graminv = np.linalg.inv(gram_real(g))
+    return einsum_levi_civita(mu, g) + 0.5 * np.einsum("kl,ijl->ijk", graminv, c_real)
+
+
+def einsum_bismut_residuals(mu: LieBracket, g: HermitianMetric, gamma: np.ndarray,
+                            c_form) -> tuple[float, float, float]:
+    """Metric compatibility, J-parallelism and torsion skewness defects of gamma."""
+    S, _, J_real, _ = adapted_frame(mu.n)
+    c_real = transform_form(c_form.tensor, S).real
+    gram = gram_real(g)
+    mats = gamma.transpose(0, 2, 1)
+    compat = np.abs(np.einsum("iab,ac->ibc", mats, gram)
+                    + np.einsum("ab,ibc->iac", gram, mats)).max()
+    jres = np.abs(np.einsum("iab,bc->iac", mats, J_real)
+                  - np.einsum("ab,ibc->iac", J_real, mats)).max()
+    torsion = gamma - gamma.transpose(1, 0, 2) - mu.real_structure()
+    skew = np.abs(np.einsum("ijm,mx->xij", torsion, gram) - c_real).max()
+    return float(compat), float(jres), float(skew)
+
+
+def einsum_curvature(gamma: np.ndarray, mu: LieBracket) -> np.ndarray:
+    """R[i, j, a, c] of [nabla_i, nabla_j] - nabla_{mu(E_i, E_j)}."""
+    mats = gamma.transpose(0, 2, 1)
+    comm = np.einsum("iab,jbc->ijac", mats, mats)
+    comm = comm - comm.transpose(1, 0, 2, 3)
+    return comm - np.einsum("ijk,kac->ijac", mu.real_structure(), mats)
+
+
+def einsum_ricci_traces(Rg: np.ndarray, Rb: np.ndarray, g: HermitianMetric):
+    """ric_g, ric_b and the real rho_B matrix: ric(X, Y) = g^{kr} R(e_k, X, Y, e_r)
+    and rho(X, Y) = (1/2) g^{kr} g(R(X, Y) e_k, J e_r)."""
+    gram = gram_real(g)
+    graminv = np.linalg.inv(gram)
+    _, _, J_real, _ = adapted_frame(g.n)
+    ric_g = np.einsum("kr,kimj,mr->ij", graminv, Rg, gram, optimize=True)
+    ric_b = np.einsum("kr,kimj,mr->ij", graminv, Rb, gram, optimize=True)
+    rho_real = 0.5 * np.einsum("kr,ijmk,mr->ij", graminv, Rb, gram @ J_real, optimize=True)
+    return ric_g, ric_b, rho_real

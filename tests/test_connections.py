@@ -1,9 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import abelian, random_pd_metric
-from pluriflow import catalog
-from pluriflow.errors import NotTwoStepError
+from conftest import (
+    abelian,
+    count_calls,
+    einsum_bismut,
+    einsum_bismut_residuals,
+    einsum_curvature,
+    einsum_levi_civita,
+    einsum_ricci_traces,
+    generic_integrable_bracket,
+    non_integrable_bracket,
+    random_pd_metric,
+)
+from pluriflow import catalog, connections, hermitian_forms
+from pluriflow.errors import IntegrabilityError, NotTwoStepError, ValidationError
 from pluriflow.connections import (
     bismut,
     curvature,
@@ -16,6 +29,7 @@ from pluriflow.hermitian_forms import (
     HermitianMetric,
     codifferential,
     d_mu,
+    fundamental_form,
     gram_real,
     transform_form,
 )
@@ -269,3 +283,89 @@ def test_torsion_closed_iff_skt(rng):
     _, c = bismut(mu, g3)
     assert skt_defect(mu, g3) > 1e-3
     assert d_mu(mu, c).max_norm() > 1e-3
+
+
+def _oracle_cases(n):
+    """(bracket, metric) pairs at size n: random 2-step SKT brackets and the
+    catalog algebras, each at the identity and at a random metric."""
+    rng = np.random.default_rng(100 + n)
+    brackets = [catalog.random_2step_skt(n, seed).bracket for seed in range(2)]
+    brackets.append(catalog.torus(n).bracket)
+    if n == 2:
+        brackets += [catalog.heisenberg_kt().bracket, catalog.inoue_s0(1.0, 1.0).bracket,
+                     catalog.solvable_2414().bracket]
+    else:
+        brackets.append(catalog.random_2step_skt(n, 2, center_dim=n - 1).bracket)
+    for mu in brackets:
+        yield mu, HermitianMetric(np.eye(n))
+        yield mu, random_pd_metric(rng, n)
+
+
+def _assert_close(got, want, scale=None, rel=1e-13):
+    scale = np.abs(want).max() if scale is None else scale
+    assert np.abs(got - want).max() <= rel * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curvature_path_matches_einsum_oracles(n):
+    _, Sinv, _, _ = adapted_frame(n)
+    for mu, g in _oracle_cases(n):
+        lc = levi_civita(mu, g)
+        lc_ref = einsum_levi_civita(mu, g)
+        _assert_close(lc.coeffs, lc_ref)
+        bc, c_form = bismut(mu, g)
+        bc_ref = einsum_bismut(mu, g, c_form)
+        _assert_close(bc.coeffs, bc_ref)
+        Rg_ref = einsum_curvature(lc_ref, mu)
+        Rb_ref = einsum_curvature(bc_ref, mu)
+        _assert_close(curvature(lc, mu).coeffs, Rg_ref)
+        _assert_close(curvature(bc, mu).coeffs, Rb_ref)
+
+        data = ricci_forms(mu, g)
+        ric_g, ric_b, rho_real = einsum_ricci_traces(Rg_ref, Rb_ref, g)
+        rho_b = transform_form(rho_real, Sinv)
+        _assert_close(data.ric_g.matrix, ric_g)
+        _assert_close(data.ric_b.matrix, ric_b)
+        _assert_close(data.rho_b_trace.tensor, rho_b)
+        # rho_C is rounding noise around 0 here, so it is judged on rho_B's scale
+        ddstar = d_mu(mu, codifferential(mu, g, fundamental_form(g))).tensor
+        _assert_close(data.rho_c.tensor, rho_b + ddstar, scale=np.abs(rho_b).max())
+
+
+def test_bismut_residuals_match_einsum_oracle(rng):
+    # a perturbed Levi-Civita connection breaks all three defining properties;
+    # the kernel's residuals, as it reports them, are the oracle's
+    for entry in (catalog.inoue_s0(1.0, 1.0), catalog.random_2step_skt(3, 0)):
+        mu = entry.bracket
+        g = random_pd_metric(rng, mu.n)
+        gram = gram_real(g)
+        c = mu.real_structure()
+        conn, c_form = bismut(mu, g)
+        assert max(einsum_bismut_residuals(mu, g, conn.coeffs, c_form)) < 1e-12
+        kick = 1e-3 * rng.standard_normal(c.shape)
+        compat, jres, skew = einsum_bismut_residuals(
+            mu, g, einsum_bismut(mu, g, c_form) + kick, c_form)
+        message = f"compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            connections._bismut(mu, g, einsum_levi_civita(mu, g) + kick, c, gram,
+                                np.linalg.inv(gram), 1e-8)
+
+
+def test_ricci_forms_checks_its_bracket_once(monkeypatch, rng):
+    jacobi = count_calls(monkeypatch, "jacobi_defect", connections)
+    nijenhuis = count_calls(monkeypatch, "nijenhuis_defect", hermitian_forms)
+    for n in (2, 5):
+        mu, g = catalog.random_2step_skt(n, 1).bracket, random_pd_metric(rng, n)
+        jacobi.clear()
+        nijenhuis.clear()
+        ricci_forms(mu, g)
+        assert len(jacobi) == 1 and len(nijenhuis) == 1
+
+
+def test_ricci_forms_error_paths(rng):
+    g = random_pd_metric(rng, 3)
+    not_jacobi = generic_integrable_bracket(rng, 3)
+    with pytest.raises(ValidationError, match="Jacobi identity"):
+        ricci_forms(not_jacobi, g)
+    with pytest.raises(IntegrabilityError):
+        ricci_forms(non_integrable_bracket(), random_pd_metric(rng, 2))

@@ -3,9 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import abelian, random_pd_metric
-from pluriflow import catalog, flows
-from pluriflow.errors import GridMismatchError, StepRejectedError, ValidationError
+from conftest import abelian, count_calls, non_integrable_bracket, random_pd_metric
+from pluriflow import catalog, flows, hermitian_forms
+from pluriflow.errors import (
+    GridMismatchError,
+    IntegrabilityError,
+    StepRejectedError,
+    ValidationError,
+)
 from pluriflow.flows import (
     IntegratorConfig,
     backward_existence_probe,
@@ -20,7 +25,7 @@ from pluriflow.flows import (
     _hs_field,
     _pluriclosed_field,
 )
-from pluriflow.hermitian_forms import HermitianMetric, TamedForm
+from pluriflow.hermitian_forms import HermitianMetric, TamedForm, require_integrable, skt_defect
 from pluriflow.lie_core import bracket_norm_sq, symmetrize_bracket
 
 
@@ -181,6 +186,26 @@ def test_bracket_flow_heisenberg(heisenberg):
     assert traj.monitor_max("skt_defect") < 1e-12
     norms = traj.monitors["bracket_norm_sq"]
     assert all(b < a for a, b in zip(norms, norms[1:]))  # strictly decreasing
+
+
+def test_bracket_flow_checks_integrability_once_per_sample(monkeypatch):
+    mu0 = catalog.random_2step_skt(3, 0).bracket
+    calls = count_calls(monkeypatch, "nijenhuis_defect", flows, hermitian_forms)
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5)
+    traj = bracket_flow(mu0, cfg)
+    assert len(traj.times) == 5 and len(calls) == len(traj.times)
+    g0 = HermitianMetric(np.eye(3))
+    assert traj.monitors["skt_defect"] == [skt_defect(s.mu, g0) for s in traj.states]
+
+
+def test_bracket_flow_raises_on_non_integrable_state():
+    mu = non_integrable_bracket()
+    with pytest.raises(IntegrabilityError) as expected:
+        require_integrable(mu)
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.1, sample_every=5)
+    with pytest.raises(IntegrabilityError) as raised:
+        bracket_flow(mu, cfg)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_bracket_flow_abelian_constant():

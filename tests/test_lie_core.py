@@ -147,6 +147,24 @@ def test_nijenhuis_defect(heisenberg):
     assert got == pytest.approx(brute_nijenhuis(mu), rel=1e-12)
 
 
+def test_nijenhuis_defect_cached_factor_is_the_formula(rng):
+    # the factor is built once per n; repeated calls agree bit for bit with
+    # the formula built afresh, and the shared factor is read-only
+    from pluriflow.lie_core import _NIJENHUIS_FACTOR_CACHE, standard_j_diag
+
+    for n in (2, 3, 4, 5):
+        m = 2 * n
+        raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        mu = LieBracket(symmetrize_bracket(raw, n), validate=False)
+        j = standard_j_diag(n)
+        factor = (j[:, None, None] * j[None, :, None] - j[:, None, None] * j[None, None, :]
+                  - j[None, :, None] * j[None, None, :] - 1.0)
+        fresh = float(np.abs(factor * mu.coeffs).max())
+        assert fresh > 0.1
+        assert nijenhuis_defect(mu) == fresh and nijenhuis_defect(mu) == fresh
+        assert not _NIJENHUIS_FACTOR_CACHE[n].flags.writeable
+
+
 def test_act_identity_and_scaling(heisenberg):
     mu = heisenberg.bracket
     same = act(np.eye(2), mu)
