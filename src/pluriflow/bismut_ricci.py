@@ -30,11 +30,10 @@ from .hermitian_forms import (
     InvariantForm,
     big_bilinear,
     d_mu,
-    form_inner,
     fundamental_form,
     require_integrable,
 )
-from .lie_core import LieBracket, adapted_frame, center, complexify, nilpotency_step
+from .lie_core import LieBracket, complexify, nilpotency_step
 
 # Pairing of the Bismut Ricci form against omega_0 under form_inner equals
 # the Bismut scalar; calibrated once on the Heisenberg family.
@@ -54,12 +53,6 @@ class Endomorphism:
     def full(self) -> np.ndarray:
         """Block-diagonal action on the complexified coordinates."""
         return complexify(self.matrix)
-
-    def real_matrix(self) -> np.ndarray:
-        """Action on real adapted coordinates."""
-        S, Sinv, _, _ = adapted_frame(self.n)
-        M = Sinv @ self.full() @ S
-        return M.real
 
     def frobenius_sq(self) -> float:
         """Squared Frobenius norm of the real 2n x 2n matrix: 2 ||hol block||^2."""
@@ -101,15 +94,15 @@ def rho20_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
     return rho_tensor(coeffs, G)[:n, :n]
 
 
-def eta(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> InvariantForm:
+def eta(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     """The real 1-form with rho_B = d(eta)."""
-    require_integrable(mu, tol)
+    require_integrable(mu)
     return InvariantForm(eta_vector(mu.coeffs, g.matrix), mu.n, validate=False)
 
 
-def rho_B(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> InvariantForm:
+def rho_B(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     """Bismut Ricci form, canonical path d_mu(eta)."""
-    return d_mu(mu, eta(mu, g, tol))
+    return d_mu(mu, eta(mu, g))
 
 
 def rho_B_2step(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
@@ -130,16 +123,16 @@ def rho_B_2step(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     return InvariantForm(T, n, validate=False)
 
 
-def p_of_bracket(mu: LieBracket, tol: float = 1e-8) -> Endomorphism:
+def p_of_bracket(mu: LieBracket) -> Endomorphism:
     """Endomorphism P with omega_0(P X, Y) = (rho_B)^{1,1}(X, Y) at the standard metric."""
-    require_integrable(mu, tol)
+    require_integrable(mu)
     G0 = np.eye(mu.n, dtype=complex)
     return Endomorphism(rho11_matrix(mu.coeffs, G0).T)
 
 
-def p_of_metric(mu0: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> Endomorphism:
+def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> Endomorphism:
     """Endomorphism P(omega) with omega(P X, Y) = (rho_B)^{1,1}(X, Y) for (mu0, g)."""
-    require_integrable(mu0, tol)
+    require_integrable(mu0)
     rho = rho11_matrix(mu0.coeffs, g.matrix)
     return Endomorphism((rho @ np.linalg.inv(g.matrix)).T)
 
@@ -163,32 +156,13 @@ class StaticFit:
     residual_best: float
 
 
-def static_defect(mu: LieBracket, g: HermitianMetric, r: float, tol: float = 1e-8) -> StaticFit:
+def static_defect(mu: LieBracket, g: HermitianMetric, r: float) -> StaticFit:
     """Distance of (g, rho_B) from the static condition r*omega = (rho_B)^{1,1}."""
     omega = fundamental_form(g).tensor
-    rho11 = rho_B(mu, g, tol).bidegree_part(1, 1).tensor
+    rho11 = rho_B(mu, g).bidegree_part(1, 1).tensor
     defect = float(np.abs(r * omega - rho11).max())
     denom = float(np.sum(np.abs(omega) ** 2))
     r_best = float(np.sum(rho11 * np.conj(omega)).real / denom)
     residual = float(np.abs(r_best * omega - rho11).max())
     return StaticFit(defect=defect, r_best=r_best, residual_best=residual)
 
-
-def bismut_scalar_pairing_check(mu: LieBracket) -> tuple[float, float]:
-    """(b, pairing) where pairing = <rho_B, omega_0> under form_inner.
-
-    The calibrated relation is b = FORM_PAIRING_CONSTANT * pairing.
-    """
-    g0 = HermitianMetric(np.eye(mu.n))
-    b = bismut_scalar(mu)
-    pairing = form_inner(rho_B(mu, g0), fundamental_form(g0), g0)
-    return b, float(pairing.real)
-
-
-def p_annihilates_center_defect(mu: LieBracket) -> float:
-    """Max norm of P_mu applied to an orthonormal basis of the center."""
-    P = p_of_bracket(mu).full()
-    xi = center(mu)
-    if xi.dim == 0:
-        return 0.0
-    return float(np.abs(P @ xi.basis).max())

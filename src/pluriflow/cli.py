@@ -66,7 +66,6 @@ from .flows import (
 from .lie_core import (
     LieBracket,
     center,
-    export_real_structure,
     from_real_structure,
     jacobi_defect,
     nijenhuis_defect,
@@ -92,11 +91,6 @@ def _complex_array(data) -> np.ndarray:
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValidationError("complex arrays must use [re, im] pairs in the last axis")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _encode_complex(arr: np.ndarray):
-    out = np.stack([np.asarray(arr).real, np.asarray(arr).imag], axis=-1)
-    return out.tolist()
 
 
 def _strict_json(obj):
@@ -301,17 +295,6 @@ def catalog_listing() -> int:
     for name in catalog.names():
         print(name)
     return EXIT_OK
-
-
-def export_config(cfg: dict) -> dict:
-    """Round-trip helper: catalog entry -> explicit structure constants."""
-    mu, _ = load_algebra(cfg["algebra"])
-    c, J, frame = export_real_structure(mu)
-    return {
-        "structure_constants": c.tolist(),
-        "J": J.tolist(),
-        "frame": _encode_complex(frame),
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

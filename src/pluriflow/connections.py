@@ -11,10 +11,11 @@ Curvature follows R(X, Y) = [nabla_X, nabla_Y] - nabla_{[X, Y]} and the
 Ricci traces use ric(X, Y) = g^{kr} R(e_k, X, Y, e_r) together with
 rho(X, Y) = (1/2) g^{kr} g(R(X, Y) e_k, J e_r).
 
-The public entries check their input (integrability, Jacobi) and hand the
-checked real structure constants and Gram matrix to private kernels, so
-``ricci_forms`` checks its bracket once and builds one Levi-Civita
-connection for both curvatures.  The kernels contract by matrix products
+The public entries check their input (integrability, and Jacobi against
+``JACOBI_TOL``) and hand the checked real structure constants and Gram
+matrix to private kernels, so ``ricci_forms`` checks its bracket once and
+builds one Levi-Civita connection for both curvatures; the Bismut residuals
+are judged against ``BISMUT_TOL``.  The kernels contract by matrix products
 and ``tensordot``: the Koszul terms are transposes of one product, each
 curvature is two products, and no einsum path search runs per call.
 """
@@ -38,6 +39,7 @@ from .hermitian_forms import (
     transform_form,
 )
 from .lie_core import (
+    KERNEL_TOL,
     LieBracket,
     adapted_frame,
     center,
@@ -45,6 +47,10 @@ from .lie_core import (
     nilpotency_step,
     standard_j_diag,
 )
+
+JACOBI_TOL = 1e-8            # Jacobi defect, checked at every public entry
+BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
+TORSION_REALITY_TOL = 1e-9   # imaginary part of the real torsion 3-form, relative
 
 
 @dataclass
@@ -80,13 +86,6 @@ class BilinearForm:
     matrix: np.ndarray  # (2n, 2n) real
     symmetric: bool = False
 
-    def one_one_part(self) -> "BilinearForm":
-        """J-average: b^{1,1}(X, Y) = (b(X, Y) + b(JX, JY)) / 2."""
-        n = self.matrix.shape[0] // 2
-        _, _, J, _ = adapted_frame(n)
-        avg = 0.5 * (self.matrix + J.T @ self.matrix @ J)
-        return BilinearForm(matrix=avg, symmetric=self.symmetric)
-
 
 class RicciData(NamedTuple):
     ric_g: BilinearForm
@@ -95,19 +94,19 @@ class RicciData(NamedTuple):
     rho_c: InvariantForm
 
 
-def levi_civita(mu: LieBracket, g: HermitianMetric, jacobi_tol: float = 1e-8) -> Connection:
+def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
     """Koszul formula for left-invariant metrics:
 
     2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y).
     """
-    c, gram, graminv = _checked_real_data(mu, g, jacobi_tol)
+    c, gram, graminv = _checked_real_data(mu, g)
     return Connection(coeffs=_koszul(c, gram, graminv), metric_compatible=True, j_parallel=False)
 
 
-def _checked_real_data(mu: LieBracket, g: HermitianMetric, jacobi_tol: float):
+def _checked_real_data(mu: LieBracket, g: HermitianMetric):
     """The Jacobi check of every public entry, then the real structure
     constants, the real Gram matrix and its inverse that the kernels share."""
-    if jacobi_defect(mu) > jacobi_tol:
+    if jacobi_defect(mu) > JACOBI_TOL:
         raise ValidationError("bracket violates the Jacobi identity beyond tolerance")
     gram = gram_real(g)
     return mu.real_structure(), gram, np.linalg.inv(gram)
@@ -130,25 +129,25 @@ def torsion_three_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     return InvariantForm(-scale * dw, mu.n, validate=False)
 
 
-def bismut(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8):
+def bismut(mu: LieBracket, g: HermitianMetric):
     """Bismut connection and its torsion 3-form.
 
     Returns (Connection, c).  Raises if the defining residuals (metric
     compatibility, J-parallelism, total skewness of the torsion) exceed
     tolerance, which catches convention errors early.
     """
-    require_integrable(mu, tol)
-    c, gram, graminv = _checked_real_data(mu, g, max(tol, 1e-8))
-    return _bismut(mu, g, _koszul(c, gram, graminv), c, gram, graminv, tol)
+    require_integrable(mu)
+    c, gram, graminv = _checked_real_data(mu, g)
+    return _bismut(mu, g, _koszul(c, gram, graminv), c, gram, graminv)
 
 
 def _bismut(mu: LieBracket, g: HermitianMetric, lc: np.ndarray, c: np.ndarray,
-            gram: np.ndarray, graminv: np.ndarray, tol: float):
+            gram: np.ndarray, graminv: np.ndarray):
     """``bismut`` on checked data, from the Levi-Civita coefficients ``lc``."""
     c_form = torsion_three_form(mu, g)
     S, _, J_real, _ = adapted_frame(mu.n)
     c_real_t = transform_form(c_form.tensor, S)
-    if np.abs(c_real_t.imag).max() > 1e-9 * max(np.abs(c_real_t).max(), 1.0):
+    if np.abs(c_real_t.imag).max() > TORSION_REALITY_TOL * max(np.abs(c_real_t).max(), 1.0):
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
     gamma = lc + 0.5 * (c_real @ graminv.T)
@@ -160,7 +159,8 @@ def _bismut(mu: LieBracket, g: HermitianMetric, lc: np.ndarray, c: np.ndarray,
     jres = np.abs(mats @ J_real - J_real @ mats).max()
     torsion = gamma - gamma.transpose(1, 0, 2) - c
     skew = np.abs((torsion @ gram).transpose(2, 0, 1) - c_real).max()
-    if compat > tol * scale or jres > tol * scale or skew > tol * max(scale, 1.0):
+    bound = BISMUT_TOL * scale
+    if compat > bound or jres > bound or skew > bound:
         raise ValidationError(
             f"Bismut residuals too large (compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e})")
     return conn, c_form
@@ -181,19 +181,19 @@ def _curvature(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
     return comm - comm.transpose(1, 0, 2, 3) - lower
 
 
-def ricci_forms(mu: LieBracket, g: HermitianMetric, tol: float = 1e-8) -> RicciData:
+def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     """Ricci tensors of both connections plus the trace-path Bismut Ricci form
     and the Chern Ricci form rho_C = rho_B + d d* omega.
 
-    The bracket is checked once, the Jacobi identity against 1e-8 as in
-    ``levi_civita``, and one Levi-Civita connection serves both curvatures.
+    The bracket is checked once, as in ``levi_civita`` and ``bismut``, and
+    one Levi-Civita connection serves both curvatures.
     """
-    require_integrable(mu, tol)
-    c, gram, graminv = _checked_real_data(mu, g, 1e-8)
+    require_integrable(mu)
+    c, gram, graminv = _checked_real_data(mu, g)
     _, Sinv, J_real, _ = adapted_frame(mu.n)
 
     lc = _koszul(c, gram, graminv)
-    bc, _ = _bismut(mu, g, lc, c, gram, graminv, tol)
+    bc, _ = _bismut(mu, g, lc, c, gram, graminv)
     Rg = _curvature(lc.transpose(0, 2, 1), c)
     Rb = _curvature(bc.matrices(), c)
 
@@ -223,7 +223,7 @@ def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
     return conn.coeffs - conn.coeffs.transpose(1, 0, 2) - mu.real_structure()
 
 
-def _gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Gram-Schmidt with respect to ``gram``; drops dependent columns."""
     out = []
     for j in range(cols_real.shape[1]):
@@ -231,12 +231,12 @@ def _gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray, tol: float = 1e-9
         for u in out:
             v = v - (u @ gram @ v) * u
         norm = float(v @ gram @ v)
-        if norm > tol:
+        if norm > KERNEL_TOL:
             out.append(v / np.sqrt(norm))
     return np.stack(out, axis=1) if out else np.zeros((cols_real.shape[0], 0))
 
 
-def eberlein_oracle(mu: LieBracket, g: HermitianMetric, tol: float = 1e-9) -> BilinearForm:
+def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> BilinearForm:
     """Riemannian Ricci tensor of a 2-step nilpotent metric algebra from the
     skew maps iota(Z) defined by g(iota(Z) X, Y) = g(mu(X, Y), Z).
 

@@ -45,7 +45,7 @@ from .hermitian_forms import (
     skt_defect,
     taming_margin,
 )
-from .bismut_ricci import p_of_bracket, p_of_metric, rho11_matrix, rho_tensor
+from .bismut_ricci import Endomorphism, rho11_matrix, rho_tensor
 from .lie_core import (
     LieBracket,
     act,
@@ -332,14 +332,17 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
     """Integrate dmu/dt = (1/2) delta_mu(P_mu); optionally co-integrate h(t).
 
     Each sample judges integrability by the Nijenhuis defect it records: a
-    state that has drifted past the default integrability tolerance raises
-    the ``IntegrabilityError`` of ``skt_defect``, with the same message.
+    state that has drifted past ``INTEGRABILITY_TOL`` raises the
+    ``IntegrabilityError`` of ``skt_defect``, with the same message.  The
+    gauge channel reads P_mu and P(omega) off ``rho11_matrix`` and checks
+    nothing again: mu0 is the first sample's state.
     """
     n = mu0.n
     size_mu = (2 * n) ** 3
     f = _bracket_field(n, with_gauge)
     xi0 = center(mu0)
     g0 = HermitianMetric(np.eye(n))
+    identity = np.eye(n, dtype=complex)
     traj = FlowTrajectory(kind="bracket_gauged" if with_gauge else "bracket")
 
     def channels(coeffs: np.ndarray) -> dict[str, float]:
@@ -361,10 +364,10 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
         return ch
 
     def gauge_channel(coeffs: np.ndarray, h: np.ndarray) -> float:
-        mu = LieBracket(coeffs, validate=False)
-        Pmu = p_of_bracket(mu).matrix
+        # P_mu and P(omega) as ``p_of_bracket`` and ``p_of_metric`` compute them
+        Pmu = rho11_matrix(coeffs, identity).T
         Gh = (h.conj().T @ h).T
-        Pw = p_of_metric(mu0, HermitianMetric(Gh, validate=False)).matrix
+        Pw = (rho11_matrix(mu0.coeffs, Gh) @ np.linalg.inv(Gh)).T
         conj = h @ Pw @ np.linalg.inv(h)
         denom = max(np.abs(Pmu).max(), 1e-12)
         return float(np.abs(Pmu - conj).max() / denom)
@@ -535,7 +538,10 @@ def decay_calibration(seeds: list[LieBracket], cfg: IntegratorConfig) -> Calibra
         if np.abs(np.diff(ts) - dt).max() > 1e-12:
             raise ValidationError("calibration requires a uniform sample grid")
         norms = np.asarray(traj.monitors["bracket_norm_sq"])
-        pp = np.array([p_of_bracket(s.mu).frobenius_sq() for s in traj.states])
+        # every state passed the flow's integrability check when it was sampled
+        identity = np.eye(mu0.n, dtype=complex)
+        pp = np.array([Endomorphism(rho11_matrix(s.mu.coeffs, identity).T).frobenius_sq()
+                       for s in traj.states])
         run_kappas = []
         for i in range(2, len(ts) - 2):
             deriv = float(fd @ norms[i - 2:i + 3]) / dt

@@ -26,6 +26,9 @@ over its one n^r block with holomorphic slots first, conj G^-1 on the p
 holomorphic slots and G^-1 on the q antiholomorphic ones.  ``skt_defect``
 uses this block rule on the (2,2) block of dbar dpartial omega, which it
 builds from the (2,1) block of d omega without the dense 3- and 4-forms.
+
+Integrability is judged against ``INTEGRABILITY_TOL`` and the constructors'
+symmetry checks against ``lie_core.SYMMETRY_TOL``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from .errors import IntegrabilityError, ValidationError
 from .lie_core import (
+    SYMMETRY_TOL,
     LieBracket,
     adapted_frame,
     complexify,
@@ -47,13 +51,13 @@ from .lie_core import (
     standard_j_diag,
 )
 
-DEFAULT_INTEGRABILITY_TOL = 1e-8
+INTEGRABILITY_TOL = 1e-8   # Nijenhuis defect and bidegree leakage of d_mu
 
 
 class HermitianMetric:
     """Positive definite Hermitian matrix g[r, k] = g(Z_r, Z_kbar)."""
 
-    def __init__(self, matrix: np.ndarray, *, tol: float = 1e-10, validate: bool = True):
+    def __init__(self, matrix: np.ndarray, *, validate: bool = True):
         G = np.asarray(matrix, dtype=complex)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {G.shape}")
@@ -61,7 +65,7 @@ class HermitianMetric:
             if not np.isfinite(G).all():
                 raise ValidationError("metric has non-finite entries")
             herm = np.abs(G - G.conj().T).max()
-            if herm > tol * max(np.abs(G).max(), 1.0):
+            if herm > SYMMETRY_TOL * max(np.abs(G).max(), 1.0):
                 raise ValidationError(f"metric not Hermitian (defect {herm:.3e})")
             G = 0.5 * (G + G.conj().T)
             if np.linalg.eigvalsh(G).min() <= 0:
@@ -80,13 +84,13 @@ class HermitianMetric:
 class InvariantForm:
     """Antisymmetric multilinear form as a dense coefficient tensor."""
 
-    def __init__(self, tensor: np.ndarray, n: int, *, validate: bool = True, tol: float = 1e-10):
+    def __init__(self, tensor: np.ndarray, n: int, *, validate: bool = True):
         T = np.asarray(tensor, dtype=complex)
         if T.ndim and any(s != 2 * n for s in T.shape):
             raise ValidationError(f"tensor axes must have length {2 * n}, got {T.shape}")
         if validate and T.ndim >= 2:
             anti = np.abs(T + np.swapaxes(T, 0, 1)).max()
-            if anti > tol * max(np.abs(T).max(), 1.0):
+            if anti > SYMMETRY_TOL * max(np.abs(T).max(), 1.0):
                 raise ValidationError(f"form not antisymmetric (defect {anti:.3e})")
         self.tensor = T
         self.n = n
@@ -101,9 +105,6 @@ class InvariantForm:
     def reality_defect(self) -> float:
         """Max deviation from the symmetry making the form real on real vectors."""
         return float(np.abs(self.tensor - conj_tensor(self.tensor, self.n)).max())
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return self.reality_defect() <= tol * max(self.max_norm(), 1.0)
 
     def bidegree_part(self, p: int, q: int) -> "InvariantForm":
         """Projection onto coefficients with p unbarred and q barred indices."""
@@ -143,8 +144,7 @@ class TamedForm:
     plus the conjugate.
     """
 
-    def __init__(self, omega: HermitianMetric, beta: np.ndarray | None = None, *,
-                 tol: float = 1e-10):
+    def __init__(self, omega: HermitianMetric, beta: np.ndarray | None = None):
         self.omega = omega
         n = omega.n
         if beta is None:
@@ -152,7 +152,7 @@ class TamedForm:
         beta = np.asarray(beta, dtype=complex)
         if beta.shape != (n, n):
             raise ValidationError(f"beta must have shape ({n}, {n})")
-        if np.abs(beta + beta.T).max() > tol * max(np.abs(beta).max(), 1.0):
+        if np.abs(beta + beta.T).max() > SYMMETRY_TOL * max(np.abs(beta).max(), 1.0):
             raise ValidationError("beta must be antisymmetric")
         self.beta = 0.5 * (beta - beta.T)
         self.n = n
@@ -252,20 +252,19 @@ def d_mu(mu: LieBracket, form: InvariantForm) -> InvariantForm:
     return InvariantForm(d_mu_tensor(mu.coeffs, form.tensor, mu.n), mu.n, validate=False)
 
 
-def require_integrable(mu: LieBracket, tol: float = DEFAULT_INTEGRABILITY_TOL) -> None:
-    _check_nijenhuis(nijenhuis_defect(mu), tol)
+def require_integrable(mu: LieBracket) -> None:
+    _check_nijenhuis(nijenhuis_defect(mu))
 
 
-def _check_nijenhuis(defect: float, tol: float = DEFAULT_INTEGRABILITY_TOL) -> None:
+def _check_nijenhuis(defect: float) -> None:
     """``require_integrable`` judging a Nijenhuis defect the caller already has."""
-    if defect > tol:
-        raise IntegrabilityError(f"Nijenhuis defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > INTEGRABILITY_TOL:
+        raise IntegrabilityError(f"Nijenhuis defect {defect:.3e} exceeds {INTEGRABILITY_TOL:.1e}")
 
 
-def dolbeault_split(mu: LieBracket, form: InvariantForm,
-                    tol: float = DEFAULT_INTEGRABILITY_TOL):
+def dolbeault_split(mu: LieBracket, form: InvariantForm):
     """Split d_mu(form) of a pure (p, q) form into (p+1, q) and (p, q+1) parts."""
-    require_integrable(mu, tol)
+    require_integrable(mu)
     weights = form.bidegree_weights()
     if len(weights) != 1:
         raise ValidationError(f"form is not of pure bidegree: components {sorted(weights)}")
@@ -275,7 +274,7 @@ def dolbeault_split(mu: LieBracket, form: InvariantForm,
     out_qp = d.bidegree_part(p, q + 1)
     leak = d - out_pq - out_qp
     scale = max(d.max_norm(), 1.0)
-    if leak.max_norm() > tol * scale:
+    if leak.max_norm() > INTEGRABILITY_TOL * scale:
         raise IntegrabilityError(f"bidegree leakage {leak.max_norm():.3e} for ({p},{q}) form")
     return out_pq, out_qp
 
@@ -340,8 +339,7 @@ def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> I
     return InvariantForm(-alt / (2 * math.factorial(r - 2)), n, validate=False)
 
 
-def skt_defect(mu: LieBracket, g: HermitianMetric,
-               tol: float = DEFAULT_INTEGRABILITY_TOL) -> float:
+def skt_defect(mu: LieBracket, g: HermitianMetric) -> float:
     """Norm of dbar dpartial omega; zero exactly for pluriclosed pairs.
 
     Measured in the g-induced form norm, which is invariant under the
@@ -349,7 +347,7 @@ def skt_defect(mu: LieBracket, g: HermitianMetric,
     coefficient max-norm would not be.  Checks integrability of mu, then
     evaluates the (2,2) block by the block rule of ``_skt_norm``.
     """
-    require_integrable(mu, tol)
+    require_integrable(mu)
     return _skt_norm(mu.coeffs, g.matrix)
 
 
@@ -421,8 +419,3 @@ def closedness_defect(mu: LieBracket, Omega: TamedForm) -> ClosednessReport:
     pure = (d.bidegree_part(3, 0) + d.bidegree_part(0, 3)).max_norm()
     return ClosednessReport(defect=d.max_norm(), mixed_residual=mixed, pure_residual=pure)
 
-
-def transport_metric(h: np.ndarray, g: HermitianMetric) -> HermitianMetric:
-    """Metric of the equivalent pair: (h . mu, transport) ~ (mu, g)."""
-    hinv = np.linalg.inv(np.asarray(h, dtype=complex))
-    return HermitianMetric(hinv.T @ g.matrix @ hinv.conj())

@@ -31,8 +31,10 @@ import numpy as np
 
 from .errors import SingularTransformError, ValidationError
 
-DEFAULT_KERNEL_TOL = 1e-9
-DEFAULT_COND_BOUND = 1e12
+SYMMETRY_TOL = 1e-10    # antisymmetry, reality and Hermitian symmetry, relative
+KERNEL_TOL = 1e-9       # singular values below KERNEL_TOL * s_max span the center
+RANK_TOL = 1e-10        # rank cut and zero test of the lower central series
+COND_BOUND = 1e12       # largest condition number ``act`` accepts
 
 _FRAME_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 _NIJENHUIS_FACTOR_CACHE: dict[int, np.ndarray] = {}
@@ -109,7 +111,7 @@ def symmetrize_bracket(coeffs: np.ndarray, n: int) -> np.ndarray:
 class LieBracket:
     """Structure-constant tensor of a bracket on the complexified algebra."""
 
-    def __init__(self, coeffs: np.ndarray, *, tol: float = 1e-10, validate: bool = True):
+    def __init__(self, coeffs: np.ndarray, *, validate: bool = True):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != 3 or len(set(coeffs.shape)) != 1 or coeffs.shape[0] % 2:
             raise ValidationError(f"expected shape (2n, 2n, 2n), got {coeffs.shape}")
@@ -120,9 +122,9 @@ class LieBracket:
             scale = max(np.abs(coeffs).max(), 1.0)
             anti = np.abs(coeffs + coeffs.transpose(1, 0, 2)).max()
             real = np.abs(coeffs - conj_tensor(coeffs, self.n)).max()
-            if anti > tol * scale:
+            if anti > SYMMETRY_TOL * scale:
                 raise ValidationError(f"bracket not antisymmetric (defect {anti:.3e})")
-            if real > tol * scale:
+            if real > SYMMETRY_TOL * scale:
                 raise ValidationError(f"bracket violates reality symmetry (defect {real:.3e})")
             coeffs = symmetrize_bracket(coeffs, self.n)
         self.coeffs = coeffs.view()
@@ -136,7 +138,7 @@ class LieBracket:
         """Structure constants over the real adapted basis, shape (2n, 2n, 2n)."""
         S, Sinv, _, _ = adapted_frame(self.n)
         c = change_frame(self.coeffs, S, Sinv)
-        if np.abs(c.imag).max() > 1e-10 * max(np.abs(c).max(), 1.0):
+        if np.abs(c.imag).max() > SYMMETRY_TOL * max(np.abs(c).max(), 1.0):
             raise ValidationError("real structure constants have a large imaginary part")
         return c.real.copy()
 
@@ -194,8 +196,8 @@ def nijenhuis_defect(mu: LieBracket) -> float:
     return float(np.abs(factor * mu.coeffs).max())
 
 
-def nilpotency_step(mu: LieBracket, tol: float = 1e-10) -> int | None:
-    """Smallest k with the (k+1)-fold lower-central-series bracket below tol.
+def nilpotency_step(mu: LieBracket) -> int | None:
+    """Smallest k with the (k+1)-fold lower-central-series bracket below RANK_TOL.
 
     Returns None if the series does not reach zero within 2n steps.
     """
@@ -206,35 +208,35 @@ def nilpotency_step(mu: LieBracket, tol: float = 1e-10) -> int | None:
     for k in range(1, m + 1):
         # columns of prods span mu(g, g^{k-1})
         prods = np.einsum("ijl,jb->lib", c, current).reshape(m, -1)
-        if np.abs(prods).max() <= tol * scale:
+        if np.abs(prods).max() <= RANK_TOL * scale:
             return k
         u, s, _ = np.linalg.svd(prods, full_matrices=False)
-        rank = int(np.sum(s > tol * max(s[0], 1e-300)))
+        rank = int(np.sum(s > RANK_TOL * max(s[0], 1e-300)))
         if rank == 0:
             return k
         current = u[:, :rank]
     return None
 
 
-def center(mu: LieBracket, tol: float = DEFAULT_KERNEL_TOL) -> Subspace:
+def center(mu: LieBracket) -> Subspace:
     """Kernel of X -> mu(X, .) via SVD of the stacked bracket matrix."""
     m = mu.dim
     M = mu.coeffs.transpose(1, 2, 0).reshape(m * m, m)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
-    mask = s <= tol * s[0]
+    mask = s <= KERNEL_TOL * s[0]
     basis = vh.conj().T[:, mask]
     return Subspace(basis=basis, dim=int(mask.sum()))
 
 
-def act(h: np.ndarray, mu: LieBracket, cond_bound: float = DEFAULT_COND_BOUND) -> LieBracket:
+def act(h: np.ndarray, mu: LieBracket) -> LieBracket:
     """Transport the bracket by h in GL(n, C): (h . mu)(X, Y) = h mu(h^-1 X, h^-1 Y)."""
     h = np.asarray(h, dtype=complex)
     n = mu.n
     if h.shape != (n, n):
         raise ValidationError(f"expected h of shape ({n}, {n}), got {h.shape}")
     cond = np.linalg.cond(h)
-    if not np.isfinite(cond) or cond > cond_bound:
-        raise SingularTransformError(f"condition number {cond:.3e} exceeds bound {cond_bound:.1e}")
+    if not np.isfinite(cond) or cond > COND_BOUND:
+        raise SingularTransformError(f"condition number {cond:.3e} exceeds bound {COND_BOUND:.1e}")
     new = change_frame(mu.coeffs, complexify(np.linalg.inv(h)), complexify(h))
     return LieBracket(symmetrize_bracket(new, n), validate=False)
 
@@ -283,13 +285,6 @@ def _orth(a: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
     return u[:, :int(np.sum(s > tol))]
-
-
-def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
-    """Image of a subspace under the complexified action of h in GL(n, C)."""
-    img = complexify(h) @ sub.basis
-    q, _ = np.linalg.qr(img)
-    return Subspace(basis=q, dim=sub.dim)
 
 
 def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | None = None):

@@ -10,16 +10,34 @@ import math
 import numpy as np
 import pytest
 
-from pluriflow import catalog
+from pluriflow import catalog, cli
+from pluriflow.bismut_ricci import (
+    Endomorphism,
+    bismut_scalar,
+    p_of_bracket,
+    rho_B,
+)
+from pluriflow.connections import BilinearForm
 from pluriflow.hermitian_forms import (
     HermitianMetric,
+    InvariantForm,
     d_mu,
     form_inner,
     fundamental_form,
     gram_real,
     transform_form,
 )
-from pluriflow.lie_core import LieBracket, adapted_frame, standard_j_diag, symmetrize_bracket
+from pluriflow.lie_core import (
+    SYMMETRY_TOL,
+    LieBracket,
+    Subspace,
+    adapted_frame,
+    center,
+    complexify,
+    export_real_structure,
+    standard_j_diag,
+    symmetrize_bracket,
+)
 
 
 @pytest.fixture(scope="session")
@@ -154,6 +172,72 @@ def count_calls(monkeypatch, name, *modules):
 def assert_form_close(a, b, tol=1e-12, scale=1.0):
     diff = np.abs(np.asarray(a) - np.asarray(b)).max()
     assert diff <= tol * scale, f"forms differ by {diff:.3e}"
+
+
+# Oracles and conversions that only the tests use.
+
+def transport_metric(h: np.ndarray, g: HermitianMetric) -> HermitianMetric:
+    """Metric of the equivalent pair: (h . mu, transport) ~ (mu, g)."""
+    hinv = np.linalg.inv(np.asarray(h, dtype=complex))
+    return HermitianMetric(hinv.T @ g.matrix @ hinv.conj())
+
+
+def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
+    """Image of a subspace under the complexified action of h in GL(n, C)."""
+    img = complexify(h) @ sub.basis
+    q, _ = np.linalg.qr(img)
+    return Subspace(basis=q, dim=sub.dim)
+
+
+def is_real(form: InvariantForm) -> bool:
+    """Whether the form is real on real vectors, to SYMMETRY_TOL relative."""
+    return form.reality_defect() <= SYMMETRY_TOL * max(form.max_norm(), 1.0)
+
+
+def one_one_part(b: BilinearForm) -> BilinearForm:
+    """J-average: b^{1,1}(X, Y) = (b(X, Y) + b(JX, JY)) / 2."""
+    n = b.matrix.shape[0] // 2
+    _, _, J, _ = adapted_frame(n)
+    avg = 0.5 * (b.matrix + J.T @ b.matrix @ J)
+    return BilinearForm(matrix=avg, symmetric=b.symmetric)
+
+
+def real_matrix(P: Endomorphism) -> np.ndarray:
+    """Action of an endomorphism on real adapted coordinates."""
+    S, Sinv, _, _ = adapted_frame(P.n)
+    M = Sinv @ P.full() @ S
+    return M.real
+
+
+def bismut_scalar_pairing_check(mu: LieBracket) -> tuple[float, float]:
+    """(b, pairing) where pairing = <rho_B, omega_0> under form_inner.
+
+    The calibrated relation is b = FORM_PAIRING_CONSTANT * pairing.
+    """
+    g0 = HermitianMetric(np.eye(mu.n))
+    b = bismut_scalar(mu)
+    pairing = form_inner(rho_B(mu, g0), fundamental_form(g0), g0)
+    return b, float(pairing.real)
+
+
+def p_annihilates_center_defect(mu: LieBracket) -> float:
+    """Max norm of P_mu applied to an orthonormal basis of the center."""
+    P = p_of_bracket(mu).full()
+    xi = center(mu)
+    if xi.dim == 0:
+        return 0.0
+    return float(np.abs(P @ xi.basis).max())
+
+
+def export_config(cfg: dict) -> dict:
+    """Round-trip helper: catalog entry -> explicit structure constants."""
+    mu, _ = cli.load_algebra(cfg["algebra"])
+    c, J, frame = export_real_structure(mu)
+    return {
+        "structure_constants": c.tolist(),
+        "J": J.tolist(),
+        "frame": np.stack([frame.real, frame.imag], axis=-1).tolist(),
+    }
 
 
 def orthonormal_real_frame(g: HermitianMetric):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_pd_metric
+from conftest import one_one_part, random_pd_metric, transport_metric
 from pluriflow import catalog
 from pluriflow.bismut_ricci import rho_B
 from pluriflow.connections import eberlein_oracle, ricci_forms
@@ -26,7 +26,6 @@ from pluriflow.hermitian_forms import (
     HermitianMetric,
     skt_defect,
     transform_form,
-    transport_metric,
 )
 from pluriflow.lie_core import (
     act,
@@ -251,8 +250,8 @@ def test_criterion_10_two_step_identities():
             Z = _gram_orthonormal(np.concatenate([rc.real, rc.imag], axis=1), gram)
             P = np.eye(2 * n) - Z @ (Z.T @ gram)
 
-            ric_b11 = data.ric_b.one_one_part().matrix
-            ric_g11 = data.ric_g.one_one_part().matrix
+            ric_b11 = one_one_part(data.ric_b).matrix
+            ric_g11 = one_one_part(data.ric_g).matrix
             worst_t55 = max(worst_t55,
                             float(np.abs(ric_b11 - 2 * P.T @ ric_g11 @ P).max()))
 

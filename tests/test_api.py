@@ -1,0 +1,54 @@
+"""The public API takes no tolerance arguments.
+
+Every judgement reads one named module constant (``lie_core.SYMMETRY_TOL``,
+``hermitian_forms.INTEGRABILITY_TOL``, ``connections.JACOBI_TOL``, ...), so a
+tolerance changes in one place and not once per call path.
+"""
+
+import inspect
+
+import pytest
+
+from pluriflow import (
+    bismut_ricci,
+    catalog,
+    cli,
+    connections,
+    errors,
+    flows,
+    hermitian_forms,
+    lie_core,
+)
+
+MODULES = (lie_core, hermitian_forms, connections, bismut_ricci, flows, catalog, cli, errors)
+
+
+def _public_callables(module):
+    """(qualified name, callable) for every public function, class and method
+    defined in the module; a class stands for its constructor."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            yield f"{module.__name__}.{name}", obj
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+def _is_tolerance(param: str) -> bool:
+    return param == "tol" or param.endswith("_tol") or param == "cond_bound"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+def test_no_tolerance_parameters(module):
+    found = []
+    for qualname, obj in _public_callables(module):
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:   # exception classes inherit a built-in constructor
+            continue
+        found += [f"{qualname}({p})" for p in params if _is_tolerance(p)]
+    assert not found, f"tolerance parameters: {', '.join(found)}"

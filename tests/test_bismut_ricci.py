@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import abelian, iwasawa_like, random_pd_metric
+from conftest import (
+    abelian,
+    bismut_scalar_pairing_check,
+    is_real,
+    iwasawa_like,
+    p_annihilates_center_defect,
+    random_pd_metric,
+    real_matrix,
+)
 from pluriflow import catalog
 from pluriflow.errors import NotTwoStepError
 from pluriflow.bismut_ricci import (
     FORM_PAIRING_CONSTANT,
     bismut_scalar,
-    bismut_scalar_pairing_check,
     eta,
-    p_annihilates_center_defect,
     p_of_bracket,
     p_of_metric,
     rho11_matrix,
@@ -42,7 +48,7 @@ def test_eta_heisenberg(heisenberg):
     e = eta(heisenberg.bracket, general_metric(x, y, z))
     assert e.tensor[1] == pytest.approx(1j * y ** 2 / (2 * det), rel=1e-13)
     assert e.tensor[0] == pytest.approx(1j * y * z / (2 * det), rel=1e-13)
-    assert e.is_real()
+    assert is_real(e)
 
 
 def test_eta_inoue(inoue):
@@ -173,7 +179,7 @@ def test_p_properties(rng, heisenberg):
     # omega_0 symmetry: omega_0(P X, Y) = omega_0(P Y, X) would be wrong;
     # the right statement is symmetry of the induced pairing g_0(P X, Y).
     S, _, _, _ = adapted_frame(n)
-    Pr = P.real_matrix()
+    Pr = real_matrix(P)
     g0 = 2 * np.eye(2 * n)
     pair = Pr.T @ g0
     assert np.abs(pair - pair.T).max() < 1e-13

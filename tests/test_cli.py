@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import export_config
 import pluriflow
 from pluriflow import catalog, cli
 
@@ -133,7 +134,7 @@ def test_catalog_listing(capsys):
 
 def test_round_trip_export_reingest(tmp_path, capsys):
     base = {"algebra": {"catalog": "heisenberg_kt"}, "seed": "default"}
-    explicit = {"algebra": cli.export_config(base), "seed": {
+    explicit = {"algebra": export_config(base), "seed": {
         "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}}
     assert cli.main(["verify", write_cfg(tmp_path, "a.json", base)]) == 0
     rep_a = json.loads(capsys.readouterr().out)
@@ -250,7 +251,7 @@ def _non_finite_config(case):
         return {"algebra": {"catalog": "inoue_s0", "params": {"a": float("inf")}}}
     identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     if case in ("structure_constants", "non_numeric_structure_constants", "ragged_J"):
-        algebra = cli.export_config({"algebra": {"catalog": "heisenberg_kt"}})
+        algebra = export_config({"algebra": {"catalog": "heisenberg_kt"}})
         if case == "ragged_J":
             algebra["J"][0] = algebra["J"][0][:-1]
         else:

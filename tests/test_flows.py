@@ -188,14 +188,24 @@ def test_bracket_flow_heisenberg(heisenberg):
     assert all(b < a for a, b in zip(norms, norms[1:]))  # strictly decreasing
 
 
-def test_bracket_flow_checks_integrability_once_per_sample(monkeypatch):
+@pytest.mark.parametrize("with_gauge", [False, True])
+def test_bracket_flow_checks_integrability_once_per_sample(monkeypatch, with_gauge):
     mu0 = catalog.random_2step_skt(3, 0).bracket
     calls = count_calls(monkeypatch, "nijenhuis_defect", flows, hermitian_forms)
     cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5)
-    traj = bracket_flow(mu0, cfg)
+    traj = bracket_flow(mu0, cfg, with_gauge=with_gauge)
     assert len(traj.times) == 5 and len(calls) == len(traj.times)
     g0 = HermitianMetric(np.eye(3))
     assert traj.monitors["skt_defect"] == [skt_defect(s.mu, g0) for s in traj.states]
+
+
+def test_decay_calibration_checks_integrability_once_per_sample(monkeypatch):
+    # each of the flow's 21 samples is checked once; the calibration adds no check
+    mu0 = catalog.random_2step_skt(3, 0).bracket
+    calls = count_calls(monkeypatch, "nijenhuis_defect", flows, hermitian_forms)
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=1)
+    rep = decay_calibration([mu0], cfg)
+    assert rep.samples == 17 and len(calls) == 21
 
 
 def test_bracket_flow_raises_on_non_integrable_state():

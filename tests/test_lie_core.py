@@ -8,6 +8,7 @@ from conftest import (
     brute_nijenhuis,
     orthonormal_real_frame,
     random_pd_metric,
+    transform_subspace,
 )
 from pluriflow import catalog
 from pluriflow.errors import SingularTransformError, ValidationError
@@ -26,7 +27,6 @@ from pluriflow.lie_core import (
     nilpotency_step,
     principal_angles,
     symmetrize_bracket,
-    transform_subspace,
 )
 
 
