@@ -64,7 +64,6 @@ from .flows import (
     equivalence_check,
     hs_flow,
     pluriclosed_flow,
-    step,
 )
 from . import catalog
 

@@ -35,10 +35,6 @@ from .hermitian_forms import (
 )
 from .lie_core import LieBracket, complexify, nilpotency_step
 
-# Pairing of the Bismut Ricci form against omega_0 under form_inner equals
-# the Bismut scalar; calibrated once on the Heisenberg family.
-FORM_PAIRING_CONSTANT = 1.0
-
 
 class Endomorphism:
     """Endomorphism commuting with J0, stored as its holomorphic block."""

@@ -37,6 +37,7 @@ class CatalogEntry:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # every catalog bracket is judged here, once
         if jacobi_defect(self.bracket) > 1e-12:
             raise ValidationError(f"catalog entry {self.name} violates Jacobi")
         if nijenhuis_defect(self.bracket) > 1e-12:
@@ -272,8 +273,9 @@ def random_2step_skt(n: int, seed: int, center_dim: int | None = None) -> Catalo
     component.  Such brackets satisfy Jacobi, integrability and the
     pluriclosed condition for the standard metric identically; a final
     random unitary change of frame adds genericity without breaking any
-    of those.  Defects are still verified and the sample rejected if any
-    exceeds 1e-10.
+    of those.  A draw is redrawn unless its SKT defect at the standard
+    metric is below 1e-10 and its largest coefficient above 1e-3; Jacobi
+    and integrability are judged by ``CatalogEntry``, against 1e-12.
     """
     if n < 2:
         raise ValidationError("random_2step_skt needs n >= 2")
@@ -289,21 +291,14 @@ def random_2step_skt(n: int, seed: int, center_dim: int | None = None) -> Catalo
             w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             lam = rng.standard_normal()
             V = lam * np.outer(w, w.conj())
-            for aa in range(k):
-                for cc in range(k):
-                    v = V[aa, cc]
-                    if v == 0:
-                        continue
-                    coeffs[aa, n + cc, e] += v
-                    coeffs[aa, n + cc, n + e] += -np.conj(V[cc, aa])
+            coeffs[:k, n:n + k, e] = V
+            coeffs[:k, n:n + k, n + e] = -np.conj(V.T)
         coeffs = coeffs - coeffs.transpose(1, 0, 2)
         mu = LieBracket(symmetrize_bracket(coeffs, n), validate=False)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         mu = act(q, mu)
         g0 = HermitianMetric(np.eye(n))
-        if (jacobi_defect(mu) < 1e-10 and nijenhuis_defect(mu) < 1e-10
-                and skt_defect(mu, g0) < 1e-10
-                and np.abs(mu.coeffs).max() > 1e-3):
+        if skt_defect(mu, g0) < 1e-10 and np.abs(mu.coeffs).max() > 1e-3:
             return CatalogEntry(
                 name="random_2step_skt",
                 bracket=mu,

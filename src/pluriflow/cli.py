@@ -25,9 +25,9 @@ summary and the ``verify`` report are strict JSON: a non-finite number is
 written as the string "nan", "inf" or "-inf".  The PLURIFLOW_OUTDIR
 environment variable overrides the output directory.
 
-Exit codes: 0 success, 2 validation failure, 3 blow-down before t_end,
-4 integrator failure (a step below dt * 2**-max_halvings needed), 5 parse
-error.
+Exit codes: 0 success, 2 validation failure (Jacobi included), 3 blow-down
+before t_end, 4 integrator failure (a step below dt * 2**-max_halvings
+needed) or a non-integrable bracket, 5 parse error.
 """
 
 from __future__ import annotations
@@ -45,13 +45,15 @@ from .errors import PluriflowError, ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     TamedForm,
+    _check_nijenhuis,
+    _skt_norm,
     closedness_defect,
     d_mu,
     fundamental_form,
-    skt_defect,
     taming_margin,
 )
 from .bismut_ricci import static_defect
+from .connections import _check_jacobi
 from .flows import (
     BracketState,
     BracketWithGaugeState,
@@ -141,12 +143,13 @@ def load_seed(spec, entry: catalog.CatalogEntry | None, flow: str, n: int):
 
 
 def initial_report(mu: LieBracket, seed, flow: str) -> dict:
+    """The seed's defects; the Nijenhuis and Jacobi values reported are the
+    judgement of the bracket, so ``_skt_norm`` checks nothing again."""
     g = seed.omega if isinstance(seed, TamedForm) else seed
-    rep = {
-        "jacobi_defect": jacobi_defect(mu),
-        "nijenhuis_defect": nijenhuis_defect(mu),
-        "skt_defect": skt_defect(mu, g),
-    }
+    rep = {"jacobi_defect": jacobi_defect(mu), "nijenhuis_defect": nijenhuis_defect(mu)}
+    _check_nijenhuis(rep["nijenhuis_defect"])
+    _check_jacobi(rep["jacobi_defect"])
+    rep["skt_defect"] = _skt_norm(mu.coeffs, g.matrix)
     if isinstance(seed, TamedForm):
         cd = closedness_defect(mu, seed)
         rep["closedness_defect"] = cd.defect
@@ -212,31 +215,31 @@ def closed_form_deviation(entry: catalog.CatalogEntry, flow: str, seed,
         return None
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
-        exact = cf.evaluate(seed_state, t)
-        got = extract(state)
-        if isinstance(exact, tuple):
-            for e, g_ in zip(exact, got):
-                scale = max(np.abs(e).max(), 1e-12)
-                worst = max(worst, float(np.abs(e - g_).max() / scale))
-        else:
-            scale = max(np.abs(exact).max(), 1e-12)
-            worst = max(worst, float(np.abs(exact - got).max() / scale))
+        exact, got = cf.evaluate(seed_state, t), extract(state)
+        pairs = zip(exact, got) if isinstance(exact, tuple) else [(exact, got)]
+        for e, g_ in pairs:
+            worst = max(worst, float(np.abs(e - g_).max() / max(np.abs(e).max(), 1e-12)))
     return worst
 
 
-def run_config(cfg: dict) -> int:
+def _load(cfg: dict):
+    """(bracket, catalog entry or None, flow kind, seed, initial report), judged."""
     mu, entry = load_algebra(cfg["algebra"])
     flow = cfg.get("flow", "pluriclosed")
     if flow not in ("pluriclosed", "bracket", "bracket_gauged", "hs"):
         raise ValidationError(f"unknown flow kind {flow!r}")
     seed = load_seed(cfg.get("seed", "default"), entry, flow, mu.n)
+    return mu, entry, flow, seed, initial_report(mu, seed, flow)
+
+
+def run_config(cfg: dict) -> int:
+    mu, entry, flow, seed, report = _load(cfg)
     icfg = IntegratorConfig(**cfg.get("integrator", {}))
     out = cfg.get("output", {})
     outdir = os.environ.get("PLURIFLOW_OUTDIR", out.get("directory", "."))
     prefix = out.get("prefix", "run")
     os.makedirs(outdir, exist_ok=True)
 
-    report = initial_report(mu, seed, flow)
     if flow == "pluriclosed":
         traj = pluriclosed_flow(mu, seed, icfg)
     elif flow in ("bracket", "bracket_gauged"):
@@ -274,11 +277,8 @@ def run_config(cfg: dict) -> int:
 
 
 def verify_config(cfg: dict) -> int:
-    mu, entry = load_algebra(cfg["algebra"])
-    flow = cfg.get("flow", "pluriclosed")
-    seed = load_seed(cfg.get("seed", "default"), entry, flow, mu.n)
+    mu, _, _, seed, report = _load(cfg)
     g = seed.omega if isinstance(seed, TamedForm) else seed
-    report = initial_report(mu, seed, flow)
     report["nilpotency_step"] = nilpotency_step(mu)
     report["center_dim"] = center(mu).dim
     domega = d_mu(mu, fundamental_form(g)).max_norm()

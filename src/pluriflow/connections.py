@@ -48,7 +48,7 @@ from .lie_core import (
     standard_j_diag,
 )
 
-JACOBI_TOL = 1e-8            # Jacobi defect, checked at every public entry
+JACOBI_TOL = 1e-8            # Jacobi defect: every public entry here and the CLI loader
 BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
 TORSION_REALITY_TOL = 1e-9   # imaginary part of the real torsion 3-form, relative
 
@@ -106,10 +106,14 @@ def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
 def _checked_real_data(mu: LieBracket, g: HermitianMetric):
     """The Jacobi check of every public entry, then the real structure
     constants, the real Gram matrix and its inverse that the kernels share."""
-    if jacobi_defect(mu) > JACOBI_TOL:
-        raise ValidationError("bracket violates the Jacobi identity beyond tolerance")
+    _check_jacobi(jacobi_defect(mu))
     gram = gram_real(g)
     return mu.real_structure(), gram, np.linalg.inv(gram)
+
+
+def _check_jacobi(defect: float) -> None:
+    if defect > JACOBI_TOL:   # the one Jacobi judgement, on a defect the caller has
+        raise ValidationError(f"bracket violates the Jacobi identity (defect {defect:.3e})")
 
 
 def _koszul(c: np.ndarray, gram: np.ndarray, graminv: np.ndarray) -> np.ndarray:

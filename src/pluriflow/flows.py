@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class IntegratorConfig:
     positivity_floor: float = 1e-8      # relative to the initial minimum eigenvalue
     error_target: float = 1e-9          # a step is accepted at relative error <= error_target / 10
     max_halvings: int = 16              # smallest step dt * 2**-max_halvings
-    defect_tolerances: dict = field(default_factory=lambda: {
+    defect_tolerances: ClassVar[Mapping[str, float]] = MappingProxyType({
         "skt_defect": 1e-8,
         "closedness_defect": 1e-8,
         "center_principal_angle": 1e-8,
@@ -263,7 +264,7 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
     if g0.n != n:
         raise ValidationError("metric dimension does not match the bracket")
     skt0 = skt_defect(mu0, g0)
-    if skt0 > cfg.defect_tolerances.get("skt_defect", 1e-8):
+    if skt0 > cfg.defect_tolerances["skt_defect"]:
         warnings.warn(f"seed is not pluriclosed (defect {skt0:.3e}); integrating anyway")
     two_step = (nilpotency_step(mu0) or 99) <= 2
 
@@ -458,7 +459,7 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
     """
     n = mu0.n
     rep0 = closedness_defect(mu0, Omega0)
-    if rep0.defect > cfg.defect_tolerances.get("closedness_defect", 1e-8):
+    if rep0.defect > cfg.defect_tolerances["closedness_defect"]:
         warnings.warn(f"seed form is not closed (defect {rep0.defect:.3e}); "
                       "monitoring the drift of d Omega instead")
     if taming_margin(Omega0) <= 0:

@@ -46,7 +46,6 @@ from .lie_core import (
     LieBracket,
     adapted_frame,
     complexify,
-    conj_tensor,
     nijenhuis_defect,
     standard_j_diag,
 )
@@ -101,10 +100,6 @@ class InvariantForm:
 
     def max_norm(self) -> float:
         return float(np.abs(self.tensor).max()) if self.tensor.size else 0.0
-
-    def reality_defect(self) -> float:
-        """Max deviation from the symmetry making the form real on real vectors."""
-        return float(np.abs(self.tensor - conj_tensor(self.tensor, self.n)).max())
 
     def bidegree_part(self, p: int, q: int) -> "InvariantForm":
         """Projection onto coefficients with p unbarred and q barred indices."""

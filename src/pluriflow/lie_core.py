@@ -12,8 +12,8 @@ A bracket mu is a dense complex tensor ``coeffs`` of shape (2n, 2n, 2n):
 ``coeffs[A, B, C]`` is the coefficient of basis vector C in mu(b_A, b_B).
 Stored tensors are antisymmetric in (A, B) and satisfy the reality
 symmetry conj(coeffs[A, B, C]) = coeffs[bar A, bar B, bar C].  The Jacobi
-identity is deliberately not enforced at construction; ``jacobi_defect``
-measures it and flows check it explicitly.
+identity is judged where a bracket enters, not at construction: the CLI
+loader, ``CatalogEntry``, ``levi_civita``, ``bismut`` and ``ricci_forms``.
 
 Every frame change of a bracket goes through ``change_frame(coeffs, M,
 Minv)``, which writes it in the frame with columns M: out[a, b, c] =
@@ -211,9 +211,7 @@ def nilpotency_step(mu: LieBracket) -> int | None:
         if np.abs(prods).max() <= RANK_TOL * scale:
             return k
         u, s, _ = np.linalg.svd(prods, full_matrices=False)
-        rank = int(np.sum(s > RANK_TOL * max(s[0], 1e-300)))
-        if rank == 0:
-            return k
+        rank = int(np.sum(s > RANK_TOL * s[0]))   # s[0] >= max |prods| > 0, so rank >= 1
         current = u[:, :rank]
     return None
 

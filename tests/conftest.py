@@ -34,6 +34,7 @@ from pluriflow.lie_core import (
     adapted_frame,
     center,
     complexify,
+    conj_tensor,
     export_real_structure,
     standard_j_diag,
     symmetrize_bracket,
@@ -189,9 +190,14 @@ def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
     return Subspace(basis=q, dim=sub.dim)
 
 
+def reality_defect(form: InvariantForm) -> float:
+    """Max deviation from the symmetry making the form real on real vectors."""
+    return float(np.abs(form.tensor - conj_tensor(form.tensor, form.n)).max())
+
+
 def is_real(form: InvariantForm) -> bool:
     """Whether the form is real on real vectors, to SYMMETRY_TOL relative."""
-    return form.reality_defect() <= SYMMETRY_TOL * max(form.max_norm(), 1.0)
+    return reality_defect(form) <= SYMMETRY_TOL * max(form.max_norm(), 1.0)
 
 
 def one_one_part(b: BilinearForm) -> BilinearForm:
@@ -207,6 +213,11 @@ def real_matrix(P: Endomorphism) -> np.ndarray:
     S, Sinv, _, _ = adapted_frame(P.n)
     M = Sinv @ P.full() @ S
     return M.real
+
+
+# Pairing of the Bismut Ricci form against omega_0 under form_inner equals
+# the Bismut scalar; calibrated once on the Heisenberg family.
+FORM_PAIRING_CONSTANT = 1.0
 
 
 def bismut_scalar_pairing_check(mu: LieBracket) -> tuple[float, float]:
@@ -231,7 +242,11 @@ def p_annihilates_center_defect(mu: LieBracket) -> float:
 
 def export_config(cfg: dict) -> dict:
     """Round-trip helper: catalog entry -> explicit structure constants."""
-    mu, _ = cli.load_algebra(cfg["algebra"])
+    return explicit_algebra(cli.load_algebra(cfg["algebra"])[0])
+
+
+def explicit_algebra(mu: LieBracket) -> dict:
+    """The config ``algebra`` block giving mu by structure constants, J and frame."""
     c, J, frame = export_real_structure(mu)
     return {
         "structure_constants": c.tolist(),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FORM_PAIRING_CONSTANT,
     abelian,
     bismut_scalar_pairing_check,
     is_real,
@@ -9,11 +10,11 @@ from conftest import (
     p_annihilates_center_defect,
     random_pd_metric,
     real_matrix,
+    reality_defect,
 )
 from pluriflow import catalog
 from pluriflow.errors import NotTwoStepError
 from pluriflow.bismut_ricci import (
-    FORM_PAIRING_CONSTANT,
     bismut_scalar,
     eta,
     p_of_bracket,
@@ -95,7 +96,7 @@ def test_rho_closed_and_real(rng):
                   catalog.solvable_2414()):
         g = random_pd_metric(rng, entry.bracket.n)
         r = rho_B(entry.bracket, g)
-        assert r.reality_defect() < 1e-13
+        assert reality_defect(r) < 1e-13
         assert d_mu(entry.bracket, r).max_norm() < 1e-13
 
 

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import export_config
+from conftest import count_calls, explicit_algebra, export_config, generic_integrable_bracket
 import pluriflow
-from pluriflow import catalog, cli
+from pluriflow import bismut_ricci, catalog, cli, connections, flows, hermitian_forms, lie_core
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -246,10 +247,16 @@ def test_summary_is_strict_json_with_non_finite_values(tmp_path):
 
 
 def _non_finite_config(case):
-    """A config with a non-finite or malformed number in the named place."""
+    """A config with a non-finite or malformed number in the named place, a
+    bracket that violates the Jacobi identity, or an unknown flow kind."""
+    if case == "unknown_flow":
+        return {"algebra": {"catalog": "heisenberg_kt"}, "flow": "ricci"}
     if case == "catalog_param":
         return {"algebra": {"catalog": "inoue_s0", "params": {"a": float("inf")}}}
     identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    if case == "non_jacobi":   # integrable, with a Jacobi defect of order 1
+        algebra = explicit_algebra(generic_integrable_bracket(np.random.default_rng(0), 2))
+        return {"algebra": algebra, "seed": {"metric": identity}}
     if case in ("structure_constants", "non_numeric_structure_constants", "ragged_J"):
         algebra = export_config({"algebra": {"catalog": "heisenberg_kt"}})
         if case == "ragged_J":
@@ -271,16 +278,52 @@ def _non_finite_config(case):
 
 @pytest.mark.parametrize("case", ["catalog_param", "structure_constants", "seed_metric",
                                   "ragged_metric", "non_numeric_metric", "scalar_metric",
-                                  "non_numeric_structure_constants", "ragged_J"])
+                                  "non_numeric_structure_constants", "ragged_J",
+                                  "non_jacobi", "unknown_flow"])
 @pytest.mark.parametrize("verb", ["run", "verify"])
 def test_non_finite_config_exits_validation(tmp_path, capsys, verb, case):
-    cfg = dict(_non_finite_config(case), flow="pluriclosed",
-               integrator={"dt": 1e-2, "t_end": 0.1, "sample_every": 10},
+    cfg = dict(flow="pluriclosed", integrator={"dt": 1e-2, "t_end": 0.1, "sample_every": 10},
                output={"directory": str(tmp_path / "out"), "prefix": "nf"})
+    cfg.update(_non_finite_config(case))
     assert cli.main([verb, write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "nf_trajectory.csv").exists()
+
+
+def test_defect_tolerances_are_not_a_setting(tmp_path, capsys):
+    tol = flows.IntegratorConfig().defect_tolerances
+    assert dict(tol) == {"skt_defect": 1e-8, "closedness_defect": 1e-8,
+                         "center_principal_angle": 1e-8}
+    with pytest.raises(TypeError):
+        tol["skt_defect"] = 1.0
+    cfg = heis_run_cfg(tmp_path, tmp_path / "out")
+    cfg["integrator"]["defect_tolerances"] = {"skt_defect": 1.0}
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    assert "defect_tolerances" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "heis_trajectory.csv").exists()
+
+
+def test_each_bracket_is_judged_once(monkeypatch, capsys):
+    # a random draw: its skt_defect checks Nijenhuis, then the catalog entry
+    # judges both; verify judges both once more, in its report, and the Bismut
+    # 1-form of the static fit checks Nijenhuis
+    modules = (lie_core, hermitian_forms, connections, bismut_ricci, flows, catalog, cli)
+    jacobi, nijenhuis = (
+        count_calls(monkeypatch, name, *(m for m in modules if hasattr(m, name)))
+        for name in ("jacobi_defect", "nijenhuis_defect"))
+    for seed in range(3):
+        jacobi.clear()
+        nijenhuis.clear()
+        catalog.random_2step_skt(5, seed)
+        assert (len(jacobi), len(nijenhuis)) == (1, 2)
+        jacobi.clear()
+        nijenhuis.clear()
+        cfg = {"algebra": {"catalog": "random_2step_skt", "params": {"n": 5, "seed": seed}},
+               "seed": "default"}
+        assert cli.verify_config(cfg) == cli.EXIT_OK
+        assert (len(jacobi), len(nijenhuis)) == (2, 4)
+    capsys.readouterr()
 
 
 _COLD_START = """
