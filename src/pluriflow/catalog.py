@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import RejectionBudgetError, ValidationError
 from .hermitian_forms import HermitianMetric, TamedForm, skt_defect
-from .lie_core import LieBracket, act, jacobi_defect, nijenhuis_defect, symmetrize_bracket
+from .lie_core import LieBracket, act, symmetrize_bracket
 
 
 @dataclass
@@ -37,10 +37,10 @@ class CatalogEntry:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # every catalog bracket is judged here, once
-        if jacobi_defect(self.bracket) > 1e-12:
+        # every catalog bracket is judged here; the bracket keeps both defects
+        if self.bracket.jacobi > 1e-12:
             raise ValidationError(f"catalog entry {self.name} violates Jacobi")
-        if nijenhuis_defect(self.bracket) > 1e-12:
+        if self.bracket.nijenhuis > 1e-12:
             raise ValidationError(f"catalog entry {self.name} is not integrable")
 
 

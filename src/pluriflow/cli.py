@@ -45,15 +45,15 @@ from .errors import PluriflowError, ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     TamedForm,
-    _check_nijenhuis,
-    _skt_norm,
     closedness_defect,
     d_mu,
     fundamental_form,
+    require_integrable,
+    skt_defect,
     taming_margin,
 )
 from .bismut_ricci import static_defect
-from .connections import _check_jacobi
+from .connections import require_jacobi
 from .flows import (
     BracketState,
     BracketWithGaugeState,
@@ -65,14 +65,7 @@ from .flows import (
     hs_flow,
     pluriclosed_flow,
 )
-from .lie_core import (
-    LieBracket,
-    center,
-    from_real_structure,
-    jacobi_defect,
-    nijenhuis_defect,
-    nilpotency_step,
-)
+from .lie_core import LieBracket, center, from_real_structure, nilpotency_step
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -143,13 +136,12 @@ def load_seed(spec, entry: catalog.CatalogEntry | None, flow: str, n: int):
 
 
 def initial_report(mu: LieBracket, seed, flow: str) -> dict:
-    """The seed's defects; the Nijenhuis and Jacobi values reported are the
-    judgement of the bracket, so ``_skt_norm`` checks nothing again."""
+    """Judge the bracket (Nijenhuis, then Jacobi) and report the seed's defects."""
+    require_integrable(mu)
+    require_jacobi(mu)
     g = seed.omega if isinstance(seed, TamedForm) else seed
-    rep = {"jacobi_defect": jacobi_defect(mu), "nijenhuis_defect": nijenhuis_defect(mu)}
-    _check_nijenhuis(rep["nijenhuis_defect"])
-    _check_jacobi(rep["jacobi_defect"])
-    rep["skt_defect"] = _skt_norm(mu.coeffs, g.matrix)
+    rep = {"jacobi_defect": mu.jacobi, "nijenhuis_defect": mu.nijenhuis,
+           "skt_defect": skt_defect(mu, g)}
     if isinstance(seed, TamedForm):
         cd = closedness_defect(mu, seed)
         rep["closedness_defect"] = cd.defect

@@ -11,13 +11,14 @@ Curvature follows R(X, Y) = [nabla_X, nabla_Y] - nabla_{[X, Y]} and the
 Ricci traces use ric(X, Y) = g^{kr} R(e_k, X, Y, e_r) together with
 rho(X, Y) = (1/2) g^{kr} g(R(X, Y) e_k, J e_r).
 
-The public entries check their input (integrability, and Jacobi against
-``JACOBI_TOL``) and hand the checked real structure constants and Gram
-matrix to private kernels, so ``ricci_forms`` checks its bracket once and
-builds one Levi-Civita connection for both curvatures; the Bismut residuals
-are judged against ``BISMUT_TOL``.  The kernels contract by matrix products
-and ``tensordot``: the Koszul terms are transposes of one product, each
-curvature is two products, and no einsum path search runs per call.
+The public entries check their input (``require_integrable`` and
+``require_jacobi``, which read the bracket's cached defects) and hand the
+real structure constants and Gram matrix to private kernels, so
+``ricci_forms`` builds one Levi-Civita connection for both curvatures; the
+Bismut residuals are judged against ``BISMUT_TOL``.  The kernels contract
+by matrix products and ``tensordot``: the Koszul terms are transposes of one
+product, each curvature is two products, and no einsum path search runs per
+call.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .lie_core import (
     LieBracket,
     adapted_frame,
     center,
-    jacobi_defect,
     nilpotency_step,
     standard_j_diag,
 )
 
-JACOBI_TOL = 1e-8            # Jacobi defect: every public entry here and the CLI loader
+JACOBI_TOL = 1e-8            # Jacobi defect, judged by ``require_jacobi``
 BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
 TORSION_REALITY_TOL = 1e-9   # imaginary part of the real torsion 3-form, relative
 
@@ -103,17 +103,18 @@ def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
     return Connection(coeffs=_koszul(c, gram, graminv), metric_compatible=True, j_parallel=False)
 
 
+def require_jacobi(mu: LieBracket) -> None:
+    """Raise unless the bracket's (cached) Jacobi defect is within JACOBI_TOL."""
+    if mu.jacobi > JACOBI_TOL:
+        raise ValidationError(f"bracket violates the Jacobi identity (defect {mu.jacobi:.3e})")
+
+
 def _checked_real_data(mu: LieBracket, g: HermitianMetric):
     """The Jacobi check of every public entry, then the real structure
     constants, the real Gram matrix and its inverse that the kernels share."""
-    _check_jacobi(jacobi_defect(mu))
+    require_jacobi(mu)
     gram = gram_real(g)
     return mu.real_structure(), gram, np.linalg.inv(gram)
-
-
-def _check_jacobi(defect: float) -> None:
-    if defect > JACOBI_TOL:   # the one Jacobi judgement, on a defect the caller has
-        raise ValidationError(f"bracket violates the Jacobi identity (defect {defect:.3e})")
 
 
 def _koszul(c: np.ndarray, gram: np.ndarray, graminv: np.ndarray) -> np.ndarray:
@@ -189,8 +190,8 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     """Ricci tensors of both connections plus the trace-path Bismut Ricci form
     and the Chern Ricci form rho_C = rho_B + d d* omega.
 
-    The bracket is checked once, as in ``levi_civita`` and ``bismut``, and
-    one Levi-Civita connection serves both curvatures.
+    The bracket is checked as in ``levi_civita`` and ``bismut``, and one
+    Levi-Civita connection serves both curvatures.
     """
     require_integrable(mu)
     c, gram, graminv = _checked_real_data(mu, g)

@@ -37,8 +37,6 @@ from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
     TamedForm,
-    _check_nijenhuis,
-    _skt_norm,
     closedness_defect,
     codifferential,
     d_mu,
@@ -46,15 +44,13 @@ from .hermitian_forms import (
     skt_defect,
     taming_margin,
 )
-from .bismut_ricci import Endomorphism, rho11_matrix, rho_tensor
+from .bismut_ricci import p_of_bracket, p_of_metric, rho11_matrix, rho_tensor
 from .lie_core import (
     LieBracket,
     act,
     bracket_norm_sq,
     center,
     complexify,
-    jacobi_defect,
-    nijenhuis_defect,
     nilpotency_step,
     principal_angles,
     symmetrize_bracket,
@@ -274,23 +270,17 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
 
     traj = FlowTrajectory(kind="pluriclosed")
 
-    def channels(G: np.ndarray) -> dict[str, float]:
-        # mu0 never changes, so the seed's skt_defect call has checked its integrability
-        ch = {
-            "min_eigenvalue": float(np.linalg.eigvalsh(G).min()),
-            "skt_defect": _skt_norm(mu0.coeffs, G),
-        }
+    def channels(g: HermitianMetric) -> dict[str, float]:
+        ch = {"min_eigenvalue": g.min_eigenvalue(), "skt_defect": skt_defect(mu0, g)}
         if two_step:
-            gm = HermitianMetric(G, validate=False)
-            omega = fundamental_form(gm)
-            ddstar = d_mu(mu0, codifferential(mu0, gm, omega))
-            rho = InvariantForm(rho_tensor(mu0.coeffs, G), n, validate=False)
+            ddstar = d_mu(mu0, codifferential(mu0, g, fundamental_form(g)))
+            rho = InvariantForm(rho_tensor(mu0.coeffs, g.matrix), n, validate=False)
             ch["reduction_defect"] = (rho + ddstar).bidegree_part(1, 1).max_norm()
         return ch
 
     def record(t: float, y: np.ndarray) -> None:
-        G = y.reshape(n, n)
-        traj.record(t, MetricState(HermitianMetric(G, validate=False)), channels(G))
+        state = MetricState(HermitianMetric(y.reshape(n, n), validate=False))
+        traj.record(t, state, channels(state.g))
 
     traj.termination, traj.stats = _integrate(
         f, g0.matrix.reshape(-1).copy(),
@@ -332,29 +322,24 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
                  with_gauge: bool = False) -> FlowTrajectory:
     """Integrate dmu/dt = (1/2) delta_mu(P_mu); optionally co-integrate h(t).
 
-    Each sample judges integrability by the Nijenhuis defect it records: a
-    state that has drifted past ``INTEGRABILITY_TOL`` raises the
-    ``IntegrabilityError`` of ``skt_defect``, with the same message.  The
-    gauge channel reads P_mu and P(omega) off ``rho11_matrix`` and checks
-    nothing again: mu0 is the first sample's state.
+    Each sample is one ``LieBracket`` whose Jacobi and Nijenhuis defects
+    are recorded; a state that has drifted past ``INTEGRABILITY_TOL`` raises
+    the ``IntegrabilityError`` of ``skt_defect``.
     """
     n = mu0.n
     size_mu = (2 * n) ** 3
     f = _bracket_field(n, with_gauge)
     xi0 = center(mu0)
     g0 = HermitianMetric(np.eye(n))
-    identity = np.eye(n, dtype=complex)
     traj = FlowTrajectory(kind="bracket_gauged" if with_gauge else "bracket")
 
-    def channels(coeffs: np.ndarray) -> dict[str, float]:
-        mu = LieBracket(coeffs, validate=False)
+    def channels(mu: LieBracket) -> dict[str, float]:
         ch = {
             "bracket_norm_sq": bracket_norm_sq(mu),
-            "jacobi_defect": jacobi_defect(mu),
-            "nijenhuis_defect": nijenhuis_defect(mu),
+            "jacobi_defect": mu.jacobi,
+            "nijenhuis_defect": mu.nijenhuis,
+            "skt_defect": skt_defect(mu, g0),
         }
-        _check_nijenhuis(ch["nijenhuis_defect"])
-        ch["skt_defect"] = _skt_norm(coeffs, g0.matrix)
         xi = center(mu)
         if xi.dim != xi0.dim:
             ch["center_principal_angle"] = float(np.pi / 2.0)
@@ -364,11 +349,10 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
             ch["center_principal_angle"] = float(principal_angles(xi, xi0).max())
         return ch
 
-    def gauge_channel(coeffs: np.ndarray, h: np.ndarray) -> float:
-        # P_mu and P(omega) as ``p_of_bracket`` and ``p_of_metric`` compute them
-        Pmu = rho11_matrix(coeffs, identity).T
-        Gh = (h.conj().T @ h).T
-        Pw = (rho11_matrix(mu0.coeffs, Gh) @ np.linalg.inv(Gh)).T
+    def gauge_channel(state: BracketWithGaugeState) -> float:
+        h = state.h
+        Pmu = p_of_bracket(state.mu).matrix
+        Pw = p_of_metric(mu0, HermitianMetric((h.conj().T @ h).T, validate=False)).matrix
         conj = h @ Pw @ np.linalg.inv(h)
         denom = max(np.abs(Pmu).max(), 1e-12)
         return float(np.abs(Pmu - conj).max() / denom)
@@ -378,11 +362,11 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
         return np.concatenate([coeffs.reshape(-1), y[size_mu:]])
 
     def record(t: float, y: np.ndarray) -> None:
-        coeffs = y[:size_mu].reshape(2 * n, 2 * n, 2 * n)
-        ch = channels(coeffs)
+        state = _bracket_state(y, n, with_gauge)
+        ch = channels(state.mu)
         if with_gauge:
-            ch["gauge_defect"] = gauge_channel(coeffs, y[size_mu:].reshape(n, n))
-        traj.record(t, _bracket_state(y, n, with_gauge), ch)
+            ch["gauge_defect"] = gauge_channel(state)
+        traj.record(t, state, ch)
 
     y0 = mu0.coeffs.reshape(-1).copy()
     if with_gauge:
@@ -393,7 +377,7 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
 
 def _bracket_state(y: np.ndarray, n: int, with_gauge: bool):
     size_mu = (2 * n) ** 3
-    mu = LieBracket(y[:size_mu].reshape(2 * n, 2 * n, 2 * n).copy(), validate=False)
+    mu = LieBracket(y[:size_mu].reshape(2 * n, 2 * n, 2 * n), validate=False)
     if with_gauge:
         return BracketWithGaugeState(mu=mu, h=y[size_mu:].reshape(n, n).copy())
     return BracketState(mu=mu)
@@ -417,8 +401,7 @@ def equivalence_check(traj_metric: FlowTrajectory,
     if not isinstance(traj_bracket_gauged.states[0], BracketWithGaugeState):
         raise ValidationError("second trajectory must be a gauged bracket flow")
 
-    mu0_coeffs = traj_bracket_gauged.states[0].mu.coeffs
-    mu0 = LieBracket(mu0_coeffs, validate=False)
+    mu0 = traj_bracket_gauged.states[0].mu
     max_g = 0.0
     max_mu = 0.0
     for sm, sb in zip(traj_metric.states, traj_bracket_gauged.states):
@@ -539,10 +522,7 @@ def decay_calibration(seeds: list[LieBracket], cfg: IntegratorConfig) -> Calibra
         if np.abs(np.diff(ts) - dt).max() > 1e-12:
             raise ValidationError("calibration requires a uniform sample grid")
         norms = np.asarray(traj.monitors["bracket_norm_sq"])
-        # every state passed the flow's integrability check when it was sampled
-        identity = np.eye(mu0.n, dtype=complex)
-        pp = np.array([Endomorphism(rho11_matrix(s.mu.coeffs, identity).T).frobenius_sq()
-                       for s in traj.states])
+        pp = np.array([p_of_bracket(s.mu).frobenius_sq() for s in traj.states])
         run_kappas = []
         for i in range(2, len(ts) - 2):
             deriv = float(fd @ norms[i - 2:i + 3]) / dt

@@ -46,7 +46,6 @@ from .lie_core import (
     LieBracket,
     adapted_frame,
     complexify,
-    nijenhuis_defect,
     standard_j_diag,
 )
 
@@ -248,13 +247,10 @@ def d_mu(mu: LieBracket, form: InvariantForm) -> InvariantForm:
 
 
 def require_integrable(mu: LieBracket) -> None:
-    _check_nijenhuis(nijenhuis_defect(mu))
-
-
-def _check_nijenhuis(defect: float) -> None:
-    """``require_integrable`` judging a Nijenhuis defect the caller already has."""
-    if defect > INTEGRABILITY_TOL:
-        raise IntegrabilityError(f"Nijenhuis defect {defect:.3e} exceeds {INTEGRABILITY_TOL:.1e}")
+    """Raise unless the bracket's (cached) Nijenhuis defect is within INTEGRABILITY_TOL."""
+    if mu.nijenhuis > INTEGRABILITY_TOL:
+        raise IntegrabilityError(
+            f"Nijenhuis defect {mu.nijenhuis:.3e} exceeds {INTEGRABILITY_TOL:.1e}")
 
 
 def dolbeault_split(mu: LieBracket, form: InvariantForm):
@@ -340,16 +336,10 @@ def skt_defect(mu: LieBracket, g: HermitianMetric) -> float:
     Measured in the g-induced form norm, which is invariant under the
     simultaneous equivalence (mu, g) -> (h . mu, transported g); a raw
     coefficient max-norm would not be.  Checks integrability of mu, then
-    evaluates the (2,2) block by the block rule of ``_skt_norm``.
-    """
-    require_integrable(mu)
-    return _skt_norm(mu.coeffs, g.matrix)
+    evaluates the (2,2) block from the (2,1) and (2,2) blocks alone.
 
-
-def _skt_norm(coeffs: np.ndarray, G: np.ndarray) -> float:
-    """The norm of ``skt_defect`` from the (2,1) and (2,2) blocks alone.
-
-    With h = :n, a = n:, c = coeffs, the (2,1) block of d omega is
+    With h = :n, a = n:, c = mu.coeffs and G = g.matrix, the (2,1) block of
+    d omega is
     D[i, j, k] = i (c[h, h, h] @ G)[i, j, k] + X[i, k, j] - X[j, k, i]
     with X = c[h, a, a] @ (i G^T).  The (2,2) block of d of its (2,1) part is
     E[i, j, k, l] = A[i, j, k, l] - A[i, j, l, k] - A[j, i, k, l] + A[j, i, l, k]
@@ -361,6 +351,8 @@ def _skt_norm(coeffs: np.ndarray, G: np.ndarray) -> float:
     contribute equally: with E shaped (n^2, n^2),
     |E|^2 = 6/4! <E, (conj G^-1 (x) conj G^-1)^T E (G^-1 (x) G^-1)>.
     """
+    require_integrable(mu)
+    coeffs, G = mu.coeffs, g.matrix
     n = G.shape[0]
     nn = n * n
     h, a = slice(None, n), slice(n, None)

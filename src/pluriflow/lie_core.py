@@ -11,9 +11,12 @@ with J0 E_k = E_{k+n}.  Index A >= n denotes the conjugate of A - n.
 A bracket mu is a dense complex tensor ``coeffs`` of shape (2n, 2n, 2n):
 ``coeffs[A, B, C]`` is the coefficient of basis vector C in mu(b_A, b_B).
 Stored tensors are antisymmetric in (A, B) and satisfy the reality
-symmetry conj(coeffs[A, B, C]) = coeffs[bar A, bar B, bar C].  The Jacobi
-identity is judged where a bracket enters, not at construction: the CLI
-loader, ``CatalogEntry``, ``levi_civita``, ``bismut`` and ``ricci_forms``.
+symmetry conj(coeffs[A, B, C]) = coeffs[bar A, bar B, bar C].  A bracket
+owns a read-only copy of its coefficients, so it is judged once per object:
+its ``jacobi`` and ``nijenhuis`` defects are computed on first use and kept.
+Construction checks only the symmetries; the checks that read the defects
+(``hermitian_forms.require_integrable``, ``connections.require_jacobi`` and
+``CatalogEntry``) run where a bracket enters.
 
 Every frame change of a bracket goes through ``change_frame(coeffs, M,
 Minv)``, which writes it in the frame with columns M: out[a, b, c] =
@@ -26,6 +29,7 @@ pairs of real adapted basis vectors, treating {E_i} as orthonormal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,11 +112,18 @@ def symmetrize_bracket(coeffs: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (T + conj_tensor(T, n))
 
 
+class _Judgement(cached_property):
+    """A cached defect of a bracket; it follows from the coefficients, so it cannot be set."""
+
+    def __set__(self, instance, value):
+        raise AttributeError(f"{self.attrname} is computed from the coefficients")
+
+
 class LieBracket:
     """Structure-constant tensor of a bracket on the complexified algebra."""
 
     def __init__(self, coeffs: np.ndarray, *, validate: bool = True):
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.array(coeffs, dtype=complex)
         if coeffs.ndim != 3 or len(set(coeffs.shape)) != 1 or coeffs.shape[0] % 2:
             raise ValidationError(f"expected shape (2n, 2n, 2n), got {coeffs.shape}")
         self.n = coeffs.shape[0] // 2
@@ -127,12 +138,22 @@ class LieBracket:
             if real > SYMMETRY_TOL * scale:
                 raise ValidationError(f"bracket violates reality symmetry (defect {real:.3e})")
             coeffs = symmetrize_bracket(coeffs, self.n)
-        self.coeffs = coeffs.view()
-        self.coeffs.setflags(write=False)
+        coeffs.setflags(write=False)
+        self.coeffs = coeffs
 
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @_Judgement
+    def jacobi(self) -> float:
+        """``jacobi_defect`` of this bracket, computed once."""
+        return jacobi_defect(self)
+
+    @_Judgement
+    def nijenhuis(self) -> float:
+        """``nijenhuis_defect`` of this bracket, computed once."""
+        return nijenhuis_defect(self)
 
     def real_structure(self) -> np.ndarray:
         """Structure constants over the real adapted basis, shape (2n, 2n, 2n)."""

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pluriflow import catalog, cli
+from pluriflow import catalog, cli, lie_core
 from pluriflow.bismut_ricci import (
     Endomorphism,
     bismut_scalar,
@@ -168,6 +168,14 @@ def count_calls(monkeypatch, name, *modules):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_defects(monkeypatch):
+    """(Jacobi, Nijenhuis) call lists.  A bracket computes its defects only in
+    ``lie_core.jacobi_defect`` and ``lie_core.nijenhuis_defect``, so these count
+    computations, whichever module asks for a defect."""
+    return tuple(count_calls(monkeypatch, name, lie_core)
+                 for name in ("jacobi_defect", "nijenhuis_defect"))
 
 
 def assert_form_close(a, b, tol=1e-12, scale=1.0):

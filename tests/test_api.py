@@ -1,11 +1,14 @@
-"""The public API takes no tolerance arguments.
+"""The public API takes no tolerance arguments, and private names stay private.
 
 Every judgement reads one named module constant (``lie_core.SYMMETRY_TOL``,
 ``hermitian_forms.INTEGRABILITY_TOL``, ``connections.JACOBI_TOL``, ...), so a
-tolerance changes in one place and not once per call path.
+tolerance changes in one place and not once per call path.  No module imports
+another module's ``_name``: a check that needs sharing is public.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +55,14 @@ def test_no_tolerance_parameters(module):
             continue
         found += [f"{qualname}({p})" for p in params if _is_tolerance(p)]
     assert not found, f"tolerance parameters: {', '.join(found)}"
+
+
+def test_no_private_name_crosses_modules():
+    # a private helper is its module's own: no module imports another's _name
+    src = Path(lie_core.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or "pluriflow" in (node.module or "")):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not found, f"private names imported across modules: {', '.join(found)}"

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls, explicit_algebra, export_config, generic_integrable_bracket
+from conftest import count_defects, explicit_algebra, export_config, generic_integrable_bracket
 import pluriflow
-from pluriflow import bismut_ricci, catalog, cli, connections, flows, hermitian_forms, lie_core
+from pluriflow import catalog, cli, flows
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -304,25 +304,27 @@ def test_defect_tolerances_are_not_a_setting(tmp_path, capsys):
     assert not (tmp_path / "out" / "heis_trajectory.csv").exists()
 
 
-def test_each_bracket_is_judged_once(monkeypatch, capsys):
-    # a random draw: its skt_defect checks Nijenhuis, then the catalog entry
-    # judges both; verify judges both once more, in its report, and the Bismut
-    # 1-form of the static fit checks Nijenhuis
-    modules = (lie_core, hermitian_forms, connections, bismut_ricci, flows, catalog, cli)
-    jacobi, nijenhuis = (
-        count_calls(monkeypatch, name, *(m for m in modules if hasattr(m, name)))
-        for name in ("jacobi_defect", "nijenhuis_defect"))
+def test_each_bracket_is_judged_once(monkeypatch, tmp_path, capsys):
+    # a random build computes Nijenhuis in its skt_defect and Jacobi in its
+    # CatalogEntry; the loader, the report, the flow and the static fit read
+    # the values the bracket keeps
+    jacobi, nijenhuis = count_defects(monkeypatch)
+
+    def judged(action, *args):
+        jacobi.clear()
+        nijenhuis.clear()
+        return action(*args), len(jacobi), len(nijenhuis)
+
     for seed in range(3):
-        jacobi.clear()
-        nijenhuis.clear()
-        catalog.random_2step_skt(5, seed)
-        assert (len(jacobi), len(nijenhuis)) == (1, 2)
-        jacobi.clear()
-        nijenhuis.clear()
+        assert judged(catalog.random_2step_skt, 5, seed)[1:] == (1, 1)
         cfg = {"algebra": {"catalog": "random_2step_skt", "params": {"n": 5, "seed": seed}},
                "seed": "default"}
-        assert cli.verify_config(cfg) == cli.EXIT_OK
-        assert (len(jacobi), len(nijenhuis)) == (2, 4)
+        assert judged(cli.verify_config, cfg) == (cli.EXIT_OK, 1, 1)
+    cfg = {"algebra": {"catalog": "random_2step_skt", "params": {"n": 3, "seed": 2}},
+           "flow": "pluriclosed", "seed": "default",
+           "integrator": {"dt": 1e-2, "t_end": 0.1, "sample_every": 5},
+           "output": {"directory": str(tmp_path), "prefix": "r"}}
+    assert judged(cli.run_config, cfg) == (cli.EXIT_OK, 1, 1)
     capsys.readouterr()
 
 

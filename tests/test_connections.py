@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (
     abelian,
-    count_calls,
+    count_defects,
     einsum_bismut,
     einsum_bismut_residuals,
     einsum_curvature,
@@ -16,7 +16,7 @@ from conftest import (
     one_one_part,
     random_pd_metric,
 )
-from pluriflow import catalog, connections, hermitian_forms
+from pluriflow import catalog, connections
 from pluriflow.errors import IntegrabilityError, NotTwoStepError, ValidationError
 from pluriflow.connections import (
     bismut,
@@ -35,7 +35,7 @@ from pluriflow.hermitian_forms import (
     transform_form,
 )
 from pluriflow.bismut_ricci import rho_B
-from pluriflow.lie_core import adapted_frame
+from pluriflow.lie_core import LieBracket, adapted_frame
 
 
 def test_levi_civita_abelian_zero(rng):
@@ -353,14 +353,18 @@ def test_bismut_residuals_match_einsum_oracle(rng):
 
 
 def test_ricci_forms_checks_its_bracket_once(monkeypatch, rng):
-    jacobi = count_calls(monkeypatch, "jacobi_defect", connections)
-    nijenhuis = count_calls(monkeypatch, "nijenhuis_defect", hermitian_forms)
+    jacobi, nijenhuis = count_defects(monkeypatch)
     for n in (2, 5):
         mu, g = catalog.random_2step_skt(n, 1).bracket, random_pd_metric(rng, n)
         jacobi.clear()
         nijenhuis.clear()
         ricci_forms(mu, g)
-        assert len(jacobi) == 1 and len(nijenhuis) == 1
+        rho_B(mu, g)
+        assert (len(jacobi), len(nijenhuis)) == (0, 0)   # its CatalogEntry judged it
+        fresh = LieBracket(mu.coeffs)
+        ricci_forms(fresh, g)
+        ricci_forms(fresh, g)
+        assert (len(jacobi), len(nijenhuis)) == (1, 1)
 
 
 def test_ricci_forms_error_paths(rng):

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import abelian, count_calls, non_integrable_bracket, random_pd_metric
-from pluriflow import catalog, flows, hermitian_forms
+from conftest import abelian, count_defects, non_integrable_bracket, random_pd_metric
+from pluriflow import catalog, flows
 from pluriflow.errors import (
     GridMismatchError,
     IntegrabilityError,
@@ -191,21 +191,21 @@ def test_bracket_flow_heisenberg(heisenberg):
 @pytest.mark.parametrize("with_gauge", [False, True])
 def test_bracket_flow_checks_integrability_once_per_sample(monkeypatch, with_gauge):
     mu0 = catalog.random_2step_skt(3, 0).bracket
-    calls = count_calls(monkeypatch, "nijenhuis_defect", flows, hermitian_forms)
+    jacobi, nijenhuis = count_defects(monkeypatch)
     cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5)
     traj = bracket_flow(mu0, cfg, with_gauge=with_gauge)
-    assert len(traj.times) == 5 and len(calls) == len(traj.times)
+    assert len(traj.times) == 5 and len(jacobi) == len(nijenhuis) == len(traj.times)
     g0 = HermitianMetric(np.eye(3))
     assert traj.monitors["skt_defect"] == [skt_defect(s.mu, g0) for s in traj.states]
 
 
 def test_decay_calibration_checks_integrability_once_per_sample(monkeypatch):
-    # each of the flow's 21 samples is checked once; the calibration adds no check
+    # each of the flow's 21 samples is judged once; the calibration adds no judgement
     mu0 = catalog.random_2step_skt(3, 0).bracket
-    calls = count_calls(monkeypatch, "nijenhuis_defect", flows, hermitian_forms)
+    jacobi, nijenhuis = count_defects(monkeypatch)
     cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=1)
     rep = decay_calibration([mu0], cfg)
-    assert rep.samples == 17 and len(calls) == 21
+    assert rep.samples == 17 and len(jacobi) == len(nijenhuis) == 21
 
 
 def test_bracket_flow_raises_on_non_integrable_state():

@@ -47,6 +47,20 @@ def test_bracket_coeffs_read_only_caller_array_writeable(heisenberg, validate):
     assert c.flags.writeable
 
 
+def test_bracket_owns_its_coefficients_and_judgement(heisenberg):
+    # a write into the caller's array reaches neither the bracket nor its defects
+    ref = heisenberg.bracket
+    c = ref.coeffs.copy()
+    mu = LieBracket(c, validate=False)
+    c[0, 1, 2] = c[2, 3, 0] = 0.37   # Nijenhuis and Jacobi defects O(1) in c
+    assert np.array_equal(mu.coeffs, ref.coeffs)
+    assert (mu.jacobi, mu.nijenhuis) == (jacobi_defect(ref), nijenhuis_defect(ref))
+    assert nijenhuis_defect(LieBracket(c, validate=False)) > 0.1
+    for name in ("jacobi", "nijenhuis"):
+        with pytest.raises(AttributeError):
+            setattr(mu, name, 0.0)
+
+
 def test_jacobi_defect_examples(heisenberg):
     assert jacobi_defect(abelian()) == 0.0
     assert jacobi_defect(heisenberg.bracket) < 1e-14
