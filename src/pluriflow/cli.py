@@ -33,6 +33,7 @@ needed) or a non-integrable bracket, 5 parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -54,17 +55,7 @@ from .hermitian_forms import (
 )
 from .bismut_ricci import static_defect
 from .connections import require_jacobi
-from .flows import (
-    BracketState,
-    BracketWithGaugeState,
-    FlowTrajectory,
-    IntegratorConfig,
-    MetricState,
-    TamedState,
-    bracket_flow,
-    hs_flow,
-    pluriclosed_flow,
-)
+from .flows import FlowTrajectory, IntegratorConfig, bracket_flow, hs_flow, pluriclosed_flow
 from .lie_core import LieBracket, center, from_real_structure, nilpotency_step
 
 EXIT_OK = 0
@@ -150,15 +141,11 @@ def initial_report(mu: LieBracket, seed, flow: str) -> dict:
 
 
 def _state_parts(state) -> list[tuple[str, np.ndarray]]:
-    if isinstance(state, MetricState):
-        return [("g", state.g.matrix)]
-    if isinstance(state, BracketState):
-        return [("mu", state.mu.coeffs)]
-    if isinstance(state, BracketWithGaugeState):
-        return [("mu", state.mu.coeffs), ("h", state.h)]
-    if isinstance(state, TamedState):
-        return [("g", state.g.matrix), ("beta", state.beta)]
-    raise ValidationError(f"unknown state type {type(state)!r}")
+    """(name, array) of each set field of a flow state, in field order; a
+    metric contributes its matrix and a bracket its coefficients."""
+    values = ((f.name, getattr(state, f.name)) for f in dataclasses.fields(state))
+    return [(name, getattr(v, "matrix", getattr(v, "coeffs", v)))
+            for name, v in values if v is not None]
 
 
 def _state_values(state) -> list[float]:
@@ -189,28 +176,29 @@ def write_trajectory(path: str, traj: FlowTrajectory) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def closed_form_deviation(entry: catalog.CatalogEntry, flow: str, seed,
+def closed_form_deviation(entry: catalog.CatalogEntry, flow: str,
                           traj: FlowTrajectory) -> float | None:
+    """Largest relative deviation of the run from the entry's closed form.
+
+    The closed form evolves every state part but the gauge h from the
+    first state, which is the seed; None if the entry has none that applies.
+    """
     cf = entry.closed_forms.get(flow if flow != "bracket_gauged" else "bracket")
     if cf is None:
         return None
-    if flow == "pluriclosed":
-        seed_state = seed.matrix
-        extract = lambda s: s.g.matrix
-    elif flow in ("bracket", "bracket_gauged"):
-        seed_state = entry.bracket.coeffs
-        extract = lambda s: s.mu.coeffs
-    else:
-        seed_state = (seed.omega.matrix, seed.beta)
-        extract = lambda s: (s.g.matrix, s.beta)
+
+    def evolved(state) -> list[np.ndarray]:
+        return [arr for name, arr in _state_parts(state) if name != "h"]
+
+    seed = evolved(traj.states[0])
+    seed_state = seed[0] if len(seed) == 1 else tuple(seed)
     if not cf.applies_to(seed_state):
         return None
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
-        exact, got = cf.evaluate(seed_state, t), extract(state)
-        pairs = zip(exact, got) if isinstance(exact, tuple) else [(exact, got)]
-        for e, g_ in pairs:
-            worst = max(worst, float(np.abs(e - g_).max() / max(np.abs(e).max(), 1e-12)))
+        exact = cf.evaluate(seed_state, t)
+        for e, got in zip(exact if len(seed) > 1 else [exact], evolved(state)):
+            worst = max(worst, float(np.abs(e - got).max() / max(np.abs(e).max(), 1e-12)))
     return worst
 
 
@@ -254,7 +242,7 @@ def run_config(cfg: dict) -> int:
         "telemetry": traj.stats,
     }
     if entry is not None:
-        dev = closed_form_deviation(entry, flow, seed, traj)
+        dev = closed_form_deviation(entry, flow, traj)
         if dev is not None:
             summary["closed_form_max_relative_deviation"] = dev
     summary_path = os.path.join(outdir, f"{prefix}_summary.json")

@@ -5,9 +5,14 @@ evolve by dg/dt = -(rho_B)^{1,1} and the (2,0) coefficients of a tamed
 form by dbeta/dt = -(rho_B)^{2,0}.  The bracket flow is
 dmu/dt = (1/2) delta_mu(P_mu) with P_mu read off rho_B at the standard
 metric, and the gauge curve solves dh/dt = -(1/2) P_mu h from h = I.
-Each right-hand side is read off one ``bismut_ricci.rho_tensor`` per call:
-the pluriclosed and bracket fields take its (1,1) block through
-``rho11_matrix``, the Hermitian-symplectic field both blocks of one tensor.
+Each right-hand side reads one ``bismut_ricci.rho_tensor`` per call.
+
+The Hermitian-symplectic flow is the pluriclosed flow carrying beta, as the
+gauged bracket flow is the bracket flow carrying h: ``_metric_field`` takes
+the (1,1) block of the tensor and, with beta, its (2,0) block, and both
+metric flows run through ``_metric_flow``.  So there are two state classes,
+``MetricState(g, beta=None)`` and ``BracketState(mu, h=None)``; their
+fields, in order, are the state columns of a trajectory CSV.
 
 All three flows run through one driver, ``_integrate``: the Dormand-Prince
 5(4) embedded pair with FSAL (the last stage of an accepted step is the
@@ -25,6 +30,7 @@ compare against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -60,23 +66,13 @@ from .lie_core import (
 @dataclass
 class MetricState:
     g: HermitianMetric
+    beta: np.ndarray | None = None      # (2,0) coefficients, Hermitian-symplectic flow only
 
 
 @dataclass
 class BracketState:
     mu: LieBracket
-
-
-@dataclass
-class BracketWithGaugeState:
-    mu: LieBracket
-    h: np.ndarray
-
-
-@dataclass
-class TamedState:
-    g: HermitianMetric
-    beta: np.ndarray
+    h: np.ndarray | None = None         # gauge, gauged bracket flow only
 
 
 @dataclass
@@ -94,10 +90,16 @@ class IntegratorConfig:
     })
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.sample_every < 1:
-            raise ValidationError("dt, t_end must be positive and sample_every >= 1")
-        if self.positivity_floor <= 0:
-            raise ValidationError("positivity_floor must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.dt, self.t_end, self.positivity_floor, self.error_target)):
+            raise ValidationError(
+                "dt, t_end, positivity_floor and error_target must be finite and positive")
+        if not (self.sample_every >= 1 and self.max_halvings >= 0):
+            raise ValidationError("sample_every must be >= 1 and max_halvings >= 0")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValidationError("t_end must be a whole number >= 1 of dt steps")
 
 
 @dataclass
@@ -239,18 +241,56 @@ def _integrate(field: Callable, y0: np.ndarray, project: Callable,
     return "reached_t_end", stats
 
 
-def _pluriclosed_field(mu: LieBracket) -> Callable:
-    """Right-hand side dG/dt = -(rho_B)^{1,1}."""
-    coeffs, n = mu.coeffs, mu.n
+def _metric_field(mu: LieBracket, with_beta: bool) -> Callable:
+    """dG/dt = -(rho_B)^{1,1}; with beta, also dbeta/dt = -(rho_B)^{2,0}."""
+    coeffs, n, nsq = mu.coeffs, mu.n, mu.n ** 2
 
-    def f(gflat: np.ndarray) -> np.ndarray:
-        return -rho11_matrix(coeffs, gflat.reshape(n, n)).reshape(-1)
+    def f(y: np.ndarray) -> np.ndarray:
+        R = rho_tensor(coeffs, y[:nsq].reshape(n, n))
+        dG = -(1j * R[:n, n:]).reshape(-1)
+        return np.concatenate([dG, -R[:n, :n].reshape(-1)]) if with_beta else dG
 
     return f
 
 
 def _hermitize(G: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
+
+
+def _metric_flow(kind: str, mu0: LieBracket, g0: HermitianMetric, beta0: np.ndarray | None,
+                 channels: Callable, cfg: IntegratorConfig,
+                 direction: float = 1.0) -> FlowTrajectory:
+    """Integrate the metric field from g0, carrying beta when beta0 is given.
+
+    Each sample is one ``MetricState``, recorded with ``channels(state)``.
+    Accepted states are Hermitized (beta antisymmetrized); the run stops at
+    the positivity floor, positivity_floor times the smallest eigenvalue of g0.
+    """
+    n, nsq = mu0.n, mu0.n ** 2
+    with_beta = beta0 is not None
+    base = _metric_field(mu0, with_beta)
+    f = base if direction > 0 else (lambda y: -base(y))
+    floor = cfg.positivity_floor * g0.min_eigenvalue()
+    traj = FlowTrajectory(kind=kind)
+
+    def project(y: np.ndarray) -> np.ndarray:
+        G = _hermitize(y[:nsq].reshape(n, n)).reshape(-1)
+        if not with_beta:
+            return G
+        beta = y[nsq:].reshape(n, n)
+        return np.concatenate([G, (0.5 * (beta - beta.T)).reshape(-1)])
+
+    def record(t: float, y: np.ndarray) -> None:
+        beta = y[nsq:].reshape(n, n).copy() if with_beta else None
+        state = MetricState(HermitianMetric(y[:nsq].reshape(n, n), validate=False), beta)
+        traj.record(t, state, channels(state))
+
+    parts = (g0.matrix,) if beta0 is None else (g0.matrix, beta0)
+    traj.termination, traj.stats = _integrate(
+        f, np.concatenate([p.reshape(-1) for p in parts]), project,
+        guard=lambda y: float(np.linalg.eigvalsh(y[:nsq].reshape(n, n)).min()) <= floor,
+        record=record, cfg=cfg)
+    return traj
 
 
 def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig,
@@ -264,13 +304,8 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
         warnings.warn(f"seed is not pluriclosed (defect {skt0:.3e}); integrating anyway")
     two_step = (nilpotency_step(mu0) or 99) <= 2
 
-    base = _pluriclosed_field(mu0)
-    f = base if direction > 0 else (lambda y: -base(y))
-    floor = cfg.positivity_floor * g0.min_eigenvalue()
-
-    traj = FlowTrajectory(kind="pluriclosed")
-
-    def channels(g: HermitianMetric) -> dict[str, float]:
+    def channels(state: MetricState) -> dict[str, float]:
+        g = state.g
         ch = {"min_eigenvalue": g.min_eigenvalue(), "skt_defect": skt_defect(mu0, g)}
         if two_step:
             ddstar = d_mu(mu0, codifferential(mu0, g, fundamental_form(g)))
@@ -278,16 +313,7 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
             ch["reduction_defect"] = (rho + ddstar).bidegree_part(1, 1).max_norm()
         return ch
 
-    def record(t: float, y: np.ndarray) -> None:
-        state = MetricState(HermitianMetric(y.reshape(n, n), validate=False))
-        traj.record(t, state, channels(state.g))
-
-    traj.termination, traj.stats = _integrate(
-        f, g0.matrix.reshape(-1).copy(),
-        project=lambda y: _hermitize(y.reshape(n, n)).reshape(-1),
-        guard=lambda y: float(np.linalg.eigvalsh(y.reshape(n, n)).min()) <= floor,
-        record=record, cfg=cfg)
-    return traj
+    return _metric_flow("pluriclosed", mu0, g0, None, channels, cfg, direction)
 
 
 def _bracket_field(n: int, with_gauge: bool) -> Callable:
@@ -349,7 +375,7 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
             ch["center_principal_angle"] = float(principal_angles(xi, xi0).max())
         return ch
 
-    def gauge_channel(state: BracketWithGaugeState) -> float:
+    def gauge_channel(state: BracketState) -> float:
         h = state.h
         Pmu = p_of_bracket(state.mu).matrix
         Pw = p_of_metric(mu0, HermitianMetric((h.conj().T @ h).T, validate=False)).matrix
@@ -362,7 +388,8 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
         return np.concatenate([coeffs.reshape(-1), y[size_mu:]])
 
     def record(t: float, y: np.ndarray) -> None:
-        state = _bracket_state(y, n, with_gauge)
+        mu = LieBracket(y[:size_mu].reshape(2 * n, 2 * n, 2 * n), validate=False)
+        state = BracketState(mu, y[size_mu:].reshape(n, n).copy() if with_gauge else None)
         ch = channels(state.mu)
         if with_gauge:
             ch["gauge_defect"] = gauge_channel(state)
@@ -373,14 +400,6 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
         y0 = np.concatenate([y0, np.eye(n, dtype=complex).reshape(-1)])
     traj.termination, traj.stats = _integrate(f, y0, project, None, record, cfg)
     return traj
-
-
-def _bracket_state(y: np.ndarray, n: int, with_gauge: bool):
-    size_mu = (2 * n) ** 3
-    mu = LieBracket(y[:size_mu].reshape(2 * n, 2 * n, 2 * n), validate=False)
-    if with_gauge:
-        return BracketWithGaugeState(mu=mu, h=y[size_mu:].reshape(n, n).copy())
-    return BracketState(mu=mu)
 
 
 @dataclass
@@ -398,10 +417,11 @@ def equivalence_check(traj_metric: FlowTrajectory,
         raise GridMismatchError("trajectories use different time grids")
     if not isinstance(traj_metric.states[0], MetricState):
         raise ValidationError("first trajectory must be a metric flow")
-    if not isinstance(traj_bracket_gauged.states[0], BracketWithGaugeState):
+    sb0 = traj_bracket_gauged.states[0]
+    if not isinstance(sb0, BracketState) or sb0.h is None:
         raise ValidationError("second trajectory must be a gauged bracket flow")
 
-    mu0 = traj_bracket_gauged.states[0].mu
+    mu0 = sb0.mu
     max_g = 0.0
     max_mu = 0.0
     for sm, sb in zip(traj_metric.states, traj_bracket_gauged.states):
@@ -415,20 +435,6 @@ def equivalence_check(traj_metric: FlowTrajectory,
     return EquivalenceReport(max_metric_defect=max_g, max_bracket_defect=max_mu)
 
 
-def _hs_field(mu: LieBracket) -> Callable:
-    coeffs = mu.coeffs
-    n = mu.n
-    nsq = n * n
-
-    def f(y: np.ndarray) -> np.ndarray:
-        R = rho_tensor(coeffs, y[:nsq].reshape(n, n))
-        dG = -1j * R[:n, n:]
-        dbeta = -R[:n, :n]
-        return np.concatenate([dG.reshape(-1), dbeta.reshape(-1)])
-
-    return f
-
-
 def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTrajectory:
     """Evolve a taming 2-form: the (1,1) part by the pluriclosed flow of its
     metric, the (2,0) part by dbeta/dt = -(rho_B)^{2,0}.
@@ -438,9 +444,9 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
     nilpotent algebras admit no closed taming form at all.  A seed that
     fails to tame the complex structure is fatal.  Taming cannot be lost
     later without tripping the positivity floor first: the taming margin
-    equals the smallest eigenvalue of the metric.
+    equals the smallest eigenvalue of the metric, so one value is recorded
+    as both ``min_eigenvalue`` and ``taming_margin``.
     """
-    n = mu0.n
     rep0 = closedness_defect(mu0, Omega0)
     if rep0.defect > cfg.defect_tolerances["closedness_defect"]:
         warnings.warn(f"seed form is not closed (defect {rep0.defect:.3e}); "
@@ -448,38 +454,18 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
     if taming_margin(Omega0) <= 0:
         raise ValidationError("seed form does not tame the complex structure")
 
-    f = _hs_field(mu0)
-    floor = cfg.positivity_floor * Omega0.omega.min_eigenvalue()
-    nsq = n * n
-    traj = FlowTrajectory(kind="hs")
-
-    def channels(G: np.ndarray, beta: np.ndarray) -> dict[str, float]:
-        tf = TamedForm(HermitianMetric(G, validate=False), beta)
+    def channels(state: MetricState) -> dict[str, float]:
+        tf = TamedForm(state.g, state.beta)
+        margin = taming_margin(tf)
         rep = closedness_defect(mu0, tf)
         return {
-            "min_eigenvalue": float(np.linalg.eigvalsh(G).min()),
+            "min_eigenvalue": margin,
             "closedness_defect": rep.defect,
             "closedness_drift": abs(rep.defect - rep0.defect),
-            "taming_margin": taming_margin(tf),
+            "taming_margin": margin,
         }
 
-    def project(y: np.ndarray) -> np.ndarray:
-        beta = y[nsq:].reshape(n, n)
-        return np.concatenate([_hermitize(y[:nsq].reshape(n, n)).reshape(-1),
-                               (0.5 * (beta - beta.T)).reshape(-1)])
-
-    def record(t: float, y: np.ndarray) -> None:
-        G = y[:nsq].reshape(n, n)
-        beta = y[nsq:].reshape(n, n)
-        traj.record(t, TamedState(HermitianMetric(G, validate=False), beta.copy()),
-                    channels(G, beta))
-
-    y0 = np.concatenate([Omega0.omega.matrix.reshape(-1), Omega0.beta.reshape(-1)])
-    traj.termination, traj.stats = _integrate(
-        f, y0, project,
-        guard=lambda y: float(np.linalg.eigvalsh(y[:nsq].reshape(n, n)).min()) <= floor,
-        record=record, cfg=cfg)
-    return traj
+    return _metric_flow("hs", mu0, Omega0.omega, Omega0.beta, channels, cfg)
 
 
 def backward_existence_probe(mu0: LieBracket, g0: HermitianMetric,

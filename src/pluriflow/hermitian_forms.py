@@ -56,7 +56,7 @@ class HermitianMetric:
     """Positive definite Hermitian matrix g[r, k] = g(Z_r, Z_kbar)."""
 
     def __init__(self, matrix: np.ndarray, *, validate: bool = True):
-        G = np.asarray(matrix, dtype=complex)
+        G = np.array(matrix, dtype=complex)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {G.shape}")
         if validate:
@@ -68,8 +68,8 @@ class HermitianMetric:
             G = 0.5 * (G + G.conj().T)
             if np.linalg.eigvalsh(G).min() <= 0:
                 raise ValidationError("metric is not positive definite")
-        self.matrix = G.view()
-        self.matrix.setflags(write=False)
+        G.setflags(write=False)
+        self.matrix = G
         self.n = G.shape[0]
 
     def min_eigenvalue(self) -> float:

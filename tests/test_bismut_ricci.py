@@ -25,7 +25,7 @@ from pluriflow.bismut_ricci import (
     rho_B_2step,
     static_defect,
 )
-from pluriflow.flows import _bracket_field, _hs_field, _pluriclosed_field, delta_mu
+from pluriflow.flows import _bracket_field, _metric_field, delta_mu
 from pluriflow.hermitian_forms import HermitianMetric, d_mu
 from pluriflow.lie_core import LieBracket, act, adapted_frame, complexify, standard_j_diag
 
@@ -126,9 +126,9 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
             tol = 1e-13 * np.abs(c).max() * np.abs(eta(mu, g).tensor).max()
             assert np.abs(rho11_matrix(c, G) - rho11).max() <= tol
             assert np.abs(rho20_matrix(c, G) - T[:n, :n]).max() <= tol
-            assert np.abs(_pluriclosed_field(mu)(G.reshape(-1)) + rho11.reshape(-1)).max() <= tol
+            assert np.abs(_metric_field(mu, False)(G.reshape(-1)) + rho11.reshape(-1)).max() <= tol
             B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            hs = _hs_field(mu)(np.concatenate([G.reshape(-1), (B - B.T).reshape(-1)]))
+            hs = _metric_field(mu, True)(np.concatenate([G.reshape(-1), (B - B.T).reshape(-1)]))
             assert np.abs(hs[:n * n] + rho11.reshape(-1)).max() <= tol
             assert np.abs(hs[n * n:] + T[:n, :n].reshape(-1)).max() <= tol
         # the bracket field reads P_mu off rho_B at the standard metric

@@ -173,17 +173,33 @@ def test_run_blowdown_exit_code(tmp_path):
     assert summary["termination"] == "positivity_floor"
 
 
-def test_trajectory_csv_parses_back_exactly(tmp_path):
-    import numpy as np
+# the state columns of each flow kind, in CSV order
+_LAYOUTS = {
+    "pluriclosed": [("g", lambda s: s.g.matrix)],
+    "hs": [("g", lambda s: s.g.matrix), ("beta", lambda s: s.beta)],
+    "bracket": [("mu", lambda s: s.mu.coeffs)],
+    "bracket_gauged": [("mu", lambda s: s.mu.coeffs), ("h", lambda s: s.h)],
+}
 
-    from pluriflow.flows import IntegratorConfig, bracket_flow
 
-    traj = bracket_flow(catalog.random_2step_skt(2, 3).bracket,
-                        IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5), with_gauge=True)
+@pytest.mark.parametrize("kind", sorted(_LAYOUTS))
+def test_trajectory_csv_parses_back_exactly(tmp_path, kind):
+    cfg = flows.IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5)
+    if kind == "hs":
+        entry = catalog.solvable_2414()
+        traj = flows.hs_flow(entry.bracket, entry.default_tamed, cfg)
+    elif kind == "pluriclosed":
+        entry = catalog.random_2step_skt(2, 3)
+        traj = flows.pluriclosed_flow(entry.bracket, entry.default_metric, cfg)
+    else:
+        traj = flows.bracket_flow(catalog.random_2step_skt(2, 3).bracket, cfg,
+                                  with_gauge=kind == "bracket_gauged")
     path = tmp_path / "traj.csv"
     cli.write_trajectory(str(path), traj)
     lines = path.read_text().splitlines()
-    names, _ = cli._state_columns(traj.states[0])
+    layout = _LAYOUTS[kind]
+    names = [f"{prefix}_{idx}_{part}" for prefix, get in layout
+             for idx in range(get(traj.states[0]).size) for part in ("re", "im")]
     monitors = sorted(traj.monitors)
     assert lines[0] == "# " + ",".join(["t"] + names + monitors)
     assert len(lines) == len(traj.times) + 1
@@ -191,12 +207,24 @@ def test_trajectory_csv_parses_back_exactly(tmp_path):
         vals = [float(v) for v in line.split(",")]
         assert vals[0] == traj.times[i]
         k = 1
-        for arr in (state.mu.coeffs, state.h):
-            flat = arr.reshape(-1)
+        for _, get in layout:
+            flat = get(state).reshape(-1)
             got = np.array(vals[k:k + 2 * flat.size:2]) + 1j * np.array(vals[k + 1:k + 2 * flat.size:2])
             assert np.array_equal(got, flat)
             k += 2 * flat.size
         assert vals[k:] == [traj.monitors[m][i] for m in monitors]
+
+
+@pytest.mark.parametrize("flow", ["bracket", "bracket_gauged"])
+def test_run_bracket_closed_form(tmp_path, flow):
+    # the closed form evolves mu only: the gauge h of a gauged run is left out
+    out = tmp_path / "out"
+    cfg = {"algebra": {"catalog": "heisenberg_kt"}, "flow": flow, "seed": "default",
+           "integrator": {"dt": 1e-2, "t_end": 2.0, "sample_every": 10},
+           "output": {"directory": str(out), "prefix": flow}}
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_OK
+    summary = json.loads((out / f"{flow}_summary.json").read_text())
+    assert summary["closed_form_max_relative_deviation"] < 1e-6
 
 
 def test_run_summary_telemetry_and_repeatable_csv(tmp_path):
@@ -289,6 +317,18 @@ def test_non_finite_config_exits_validation(tmp_path, capsys, verb, case):
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "nf_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("settings", [
+    {"dt": float("nan")}, {"positivity_floor": float("nan")}, {"dt": 0.3, "t_end": 1.0},
+], ids=["dt_nan", "positivity_floor_nan", "t_end_off_the_grid"])
+def test_invalid_integrator_exits_validation(tmp_path, capsys, settings):
+    cfg = heis_run_cfg(tmp_path, tmp_path / "out", t_end=1.0)
+    cfg["integrator"].update(settings)
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "heis_trajectory.csv").exists()
 
 
 def test_defect_tolerances_are_not_a_setting(tmp_path, capsys):

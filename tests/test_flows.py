@@ -22,8 +22,7 @@ from pluriflow.flows import (
     step,
     _bracket_field,
     _hermitize,
-    _hs_field,
-    _pluriclosed_field,
+    _metric_field,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm, require_integrable, skt_defect
 from pluriflow.lie_core import bracket_norm_sq, symmetrize_bracket
@@ -77,7 +76,7 @@ def test_step_scalar_sqrt_law_order():
 def test_step_shares_first_evaluation_bitwise(heisenberg):
     # an accepted step evaluates the field 11 times and returns exactly what
     # the literal RK4 doubling (12 evaluations) returns
-    field = _pluriclosed_field(heisenberg.bracket)
+    field = _metric_field(heisenberg.bracket, False)
     calls = []
 
     def f(v):
@@ -107,11 +106,21 @@ def test_step_rejects_on_singularity():
             y = step(f, y, 0.05, error_target=1e-12, max_halvings=4)
 
 
-def test_config_validation():
+@pytest.mark.parametrize("settings", [
+    pytest.param({"dt": -1.0}, id="dt_negative"),
+    pytest.param({"sample_every": 0}, id="sample_every_zero"),
+    pytest.param({"dt": float("nan")}, id="dt_nan"),
+    pytest.param({"t_end": float("inf")}, id="t_end_inf"),
+    pytest.param({"error_target": float("nan")}, id="error_target_nan"),
+    pytest.param({"error_target": -1}, id="error_target_negative"),
+    pytest.param({"positivity_floor": float("nan")}, id="positivity_floor_nan"),
+    pytest.param({"max_halvings": -3}, id="max_halvings_negative"),
+    pytest.param({"dt": 1.0, "t_end": 0.4}, id="t_end_below_one_step"),
+    pytest.param({"dt": 0.3, "t_end": 1.0}, id="t_end_off_the_grid"),
+])
+def test_config_validation(settings):
     with pytest.raises(ValidationError):
-        IntegratorConfig(dt=-1.0)
-    with pytest.raises(ValidationError):
-        IntegratorConfig(sample_every=0)
+        IntegratorConfig(**settings)
 
 
 def test_pluriclosed_heisenberg_standard(heisenberg):
@@ -264,6 +273,33 @@ def test_equivalence_check_grid_mismatch(heisenberg):
         equivalence_check(a, b)
 
 
+def test_equivalence_check_rejects_wrong_layouts(heisenberg):
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.1, sample_every=5)
+    tm = pluriclosed_flow(heisenberg.bracket, HermitianMetric(np.eye(2)), cfg)
+    tb = bracket_flow(heisenberg.bracket, cfg, with_gauge=True)
+    with pytest.raises(ValidationError, match="gauged bracket flow"):
+        equivalence_check(tm, bracket_flow(heisenberg.bracket, cfg))
+    with pytest.raises(ValidationError, match="metric flow"):
+        equivalence_check(tb, tm)
+    assert equivalence_check(tm, tb).max_metric_defect < 1e-8
+
+
+def test_hs_flow_builds_one_metric_per_sample(solvable, monkeypatch):
+    # the monitor reads the sample's own metric and its smallest eigenvalue once
+    built = []
+    init = HermitianMetric.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianMetric, "__init__", counting)
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.5, sample_every=5)
+    traj = hs_flow(solvable.bracket, solvable.default_tamed, cfg)
+    assert len(traj.times) == len(built) == 11
+    assert traj.monitors["taming_margin"] == traj.monitors["min_eigenvalue"]
+
+
 def test_hs_flow_torus_constant(torus2):
     cfg = IntegratorConfig(dt=5e-2, t_end=5.0, sample_every=10)
     traj = hs_flow(torus2.bracket, torus2.default_tamed, cfg)
@@ -367,7 +403,7 @@ def test_adaptive_flows_match_fixed_step_reference(heisenberg, solvable):
     g0 = np.array([[1.2, 0.25 - 0.35j], [0.25 + 0.35j, 0.7]])
     cfg = IntegratorConfig(dt=2e-3, t_end=3.0, sample_every=300)
     traj = pluriclosed_flow(heisenberg.bracket, HermitianMetric(g0), cfg)
-    ref = fixed_step_run(_pluriclosed_field(heisenberg.bracket), g0.reshape(-1),
+    ref = fixed_step_run(_metric_field(heisenberg.bracket, False), g0.reshape(-1),
                          lambda y: _hermitize(y.reshape(2, 2)).reshape(-1), cfg.dt, 1500)
     for i, s in enumerate(traj.states):
         assert _rel(s.g.matrix.reshape(-1), ref[300 * i]) < 1e-9
@@ -382,7 +418,7 @@ def test_adaptive_flows_match_fixed_step_reference(heisenberg, solvable):
                                (0.5 * (beta - beta.T)).reshape(-1)])
 
     y0 = np.concatenate([tamed.omega.matrix.reshape(-1), tamed.beta.reshape(-1)])
-    ref = fixed_step_run(_hs_field(solvable.bracket), y0, project_hs, cfg.dt, 500)
+    ref = fixed_step_run(_metric_field(solvable.bracket, True), y0, project_hs, cfg.dt, 500)
     for i, s in enumerate(traj.states):
         assert _rel(np.concatenate([s.g.matrix.reshape(-1), s.beta.reshape(-1)]), ref[100 * i]) < 1e-9
 
@@ -407,13 +443,13 @@ def test_sample_times_are_exact_grid_points(heisenberg):
 
 def test_stats_count_field_calls(heisenberg, monkeypatch):
     calls = []
-    make_field = flows._pluriclosed_field
+    make_field = flows._metric_field
 
-    def counting(mu):
-        field = make_field(mu)
+    def counting(mu, with_beta):
+        field = make_field(mu, with_beta)
         return lambda y: (calls.append(1), field(y))[1]
 
-    monkeypatch.setattr(flows, "_pluriclosed_field", counting)
+    monkeypatch.setattr(flows, "_metric_field", counting)
     cfg = IntegratorConfig(dt=1e-3, t_end=2.0, sample_every=100)
     traj = pluriclosed_flow(heisenberg.bracket, HermitianMetric(np.eye(2)), cfg)
     st = traj.stats

@@ -65,6 +65,15 @@ def test_metric_matrix_read_only_caller_array_writeable(validate):
     assert G.flags.writeable
 
 
+def test_metric_owns_its_matrix():
+    # a write into the caller's array reaches neither the metric nor its eigenvalues
+    G = np.eye(2, dtype=complex)
+    g = HermitianMetric(G, validate=False)
+    G[0, 0] = -5.0
+    assert np.array_equal(g.matrix, np.eye(2))
+    assert g.min_eigenvalue() == 1.0
+
+
 def test_fundamental_form_identity_and_general():
     w0 = fundamental_form(HermitianMetric(np.eye(2)))
     expected = (-1j * zeta_wedge(2, 0, 2) - 1j * zeta_wedge(2, 1, 3)).tensor
