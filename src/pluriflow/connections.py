@@ -223,11 +223,6 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     )
 
 
-def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
-    """T[i, j, k]: the E_k component of T(E_i, E_j)."""
-    return conn.coeffs - conn.coeffs.transpose(1, 0, 2) - mu.real_structure()
-
-
 def _gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Gram-Schmidt with respect to ``gram``; drops dependent columns."""
     out = []

@@ -30,6 +30,7 @@ compare against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -189,9 +190,8 @@ def _integrate(field: Callable, y0: np.ndarray, project: Callable,
     Returns the termination cause and the run's counters.
     """
     nsteps = int(round(cfg.t_end / cfg.dt))
-    grid = list(range(cfg.sample_every, nsteps + 1, cfg.sample_every))
-    if nsteps % cfg.sample_every:
-        grid.append(nsteps)
+    grid = itertools.chain(range(cfg.sample_every, nsteps + 1, cfg.sample_every),
+                           [nsteps] if nsteps % cfg.sample_every else [])
     h_max = cfg.sample_every * cfg.dt
     h_min = cfg.dt * 2.0 ** -cfg.max_halvings
     target = cfg.error_target / 10.0

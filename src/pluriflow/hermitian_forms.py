@@ -14,11 +14,13 @@ have squared length 2.
 g measures forms through the slot metric K = diag(conj G^-1, G^-1), the
 Hermitian structure g induces on covectors: <zeta^A, zeta^B> = K[A, B].
 On r-forms it acts slot by slot, <a, b> = sum a[A..] K[A, B].. conj(b[B..]) / r!,
-the sum over increasing multi-indices of a g-orthonormal coframe.  The
-codifferential is the adjoint of d_mu in that product: for an r-form psi,
-d* psi = -Alt(W) / (2 (r-2)!) with
+the sum over increasing multi-indices of a g-orthonormal coframe.  d, d* and
+the wedge are signed shuffle sums, shuffle(C, k)[a_1..a_r] = sum_I sign(I)
+C[a_I, a_rest] over the increasing k-subsets I of C's r slots.  On antisymmetric
+input zeta^a wedge T = shuffle(zeta^a (x) T, 1), d T = -shuffle(C, 2) with
+C[a, b, ...] = mu[a, b, e] T[e, ...], and d* psi = -shuffle(W, 1) / 2 with
 W[c, ...] = sum conj(mu[i, j, k]) K[A, i] K[B, j] psi[A, B, ...] K^-1[k, c],
-Alt the signed sum over permutations of the r - 1 slots.
+the adjoint of d_mu in the product above.
 
 K is block-diagonal, so the C(r, p) slot arrangements of a pure (p, q)
 form contribute equally: |psi|^2 = C(r, p) / r! times the slot-metric sum
@@ -163,43 +165,43 @@ class TamedForm:
         return f"TamedForm(n={self.n})"
 
 
-@lru_cache(maxsize=32)
-def _perms_with_signs(r: int):
-    out = []
-    for perm in itertools.permutations(range(r)):
-        sign = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        out.append((perm, sign))
-    return out
+@lru_cache(maxsize=64)
+def _bidegree_mask(n: int, degree: int, p: int) -> np.ndarray:
+    hol = np.repeat([1, 0], n)
+    return (sum(np.ix_(*[hol] * degree), np.zeros((), dtype=int)) == p).astype(float)
 
 
 @lru_cache(maxsize=64)
-def _bidegree_mask(n: int, degree: int, p: int) -> np.ndarray:
-    if degree == 0:
-        return np.ones((), dtype=float) if p == 0 else np.zeros(())
-    hol = np.concatenate([np.ones(n), np.zeros(n)])
-    count = np.zeros((2 * n,) * degree)
-    for axis in range(degree):
-        shape = [1] * degree
-        shape[axis] = 2 * n
-        count = count + hol.reshape(shape)
-    return (count == p).astype(float)
+def _shuffles(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(axes, sign) per (k, r-k) shuffle I, with C.transpose(axes)[a] = C[a_I, a_rest]."""
+    out = []
+    for front in itertools.combinations(range(r), k):
+        order = front + tuple(i for i in range(r) if i not in front)
+        out.append((tuple(np.argsort(order).tolist()), (-1) ** (sum(front) - k * (k - 1) // 2)))
+    return tuple(out)
+
+
+def _shuffle(C: np.ndarray, k: int) -> np.ndarray:
+    """Signed sum of C over the (k, r-k) shuffles of its slots (module docstring)."""
+    out = C.copy()   # the first shuffle is the identity
+    for axes, sign in _shuffles(C.ndim, k)[1:]:
+        if sign > 0:
+            out += C.transpose(axes)
+        else:
+            out -= C.transpose(axes)
+    return out
 
 
 def basis_form(n: int, *indices: int) -> InvariantForm:
     """Elementary wedge of coframe covectors, determinant convention.
 
-    ``basis_form(2, 0, 2)`` is zeta^1 wedge zeta^1bar for n = 2.
+    ``basis_form(2, 0, 2)`` is zeta^1 wedge zeta^1bar for n = 2, an iterated wedge.
     """
-    r = len(indices)
-    if len(set(indices)) != r:
+    if len(set(indices)) != len(indices):
         raise ValidationError("repeated index in elementary form")
-    T = np.zeros((2 * n,) * r, dtype=complex)
-    for perm, sign in _perms_with_signs(r):
-        T[tuple(indices[p] for p in perm)] = sign
+    T = np.ones((), dtype=complex)
+    for a in reversed(indices):
+        T = _shuffle(np.multiply.outer(np.eye(2 * n)[a], T), 1)
     return InvariantForm(T, n, validate=False)
 
 
@@ -223,20 +225,13 @@ def metric_of(form: InvariantForm) -> HermitianMetric:
 def d_mu_tensor(m: np.ndarray, T: np.ndarray, n: int) -> np.ndarray:
     """Chevalley-Eilenberg differential of a dense antisymmetric tensor.
 
-    (dT)[a_0..a_r] = sum_{i<j} (-1)^(i+j) m[a_i, a_j, e] T[e, rest]: one
-    contraction over e, then the signed sum over the C(r+1, 2) slot pairs.
-    ``m`` is a structure tensor in the same frame as ``T``; valid in any frame.
+    (dT)[a_0..a_r] = sum_{i<j} (-1)^(i+j) m[a_i, a_j, e] T[e, rest] = -shuffle(m . T, 2),
+    as moving slots i < j to the front has sign (-1)^(i+j-1).  ``m`` is a
+    structure tensor in the same frame as ``T``; valid in any frame.
     """
-    r = T.ndim
-    dim = 2 * n
-    dtype = np.result_type(m, T, complex)
-    if r == 0:
-        return np.zeros(dim, dtype=dtype)
-    C = np.tensordot(m, T, axes=([2], [0]))
-    out = np.zeros((dim,) * (r + 1), dtype=dtype)
-    for i, j in itertools.combinations(range(r + 1), 2):
-        out += (-1) ** (i + j) * np.moveaxis(C, (0, 1), (i, j))
-    return out
+    if T.ndim == 0:
+        return np.zeros(2 * n, dtype=np.result_type(m, T, complex))
+    return _shuffle(np.tensordot(-m, T, axes=([2], [0])), 2)
 
 
 def d_mu(mu: LieBracket, form: InvariantForm) -> InvariantForm:
@@ -288,11 +283,12 @@ def gram_real(g: HermitianMetric) -> np.ndarray:
 
 
 def transform_form(T: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Pull a coefficient tensor through the basis change with columns M[:, j]."""
+    """Pull a coefficient tensor through the basis change with columns M[:, j],
+    one product per slot: each contracts the leading slot and appends the new one."""
     out = T
-    for axis in range(T.ndim):
-        out = np.tensordot(out, M, axes=([0], [0]))
-    return out
+    for _ in range(T.ndim):
+        out = out.reshape(M.shape[0], -1).T @ M
+    return out.reshape((M.shape[1],) * T.ndim)
 
 
 def _slot_metric(g: HermitianMetric) -> np.ndarray:
@@ -313,8 +309,8 @@ def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> I
 
     The two contracted slots of the form are raised by the slot metric K,
     contracted with conj(mu), and the output slot is lowered by
-    K^-1 = diag(conj G, G): -Alt(W) / (2 (r-2)!) as in the module docstring.
-    A 1-form maps to the zero scalar, since d vanishes on constants.
+    K^-1 = diag(conj G, G) into W; d* = -shuffle(W, 1) / 2.  A 1-form maps to
+    the zero scalar, since d vanishes on constants.
     """
     r = form.degree
     if r < 1:
@@ -326,8 +322,7 @@ def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> I
     up = np.tensordot(np.tensordot(form.tensor, K, axes=([0], [0])), K, axes=([0], [0]))
     W = np.tensordot(np.conj(mu.coeffs), up, axes=([0, 1], [r - 2, r - 1]))
     W = np.tensordot(complexify(np.conj(g.matrix)), W, axes=([0], [0]))
-    alt = sum(sign * W.transpose(perm) for perm, sign in _perms_with_signs(r - 1))
-    return InvariantForm(-alt / (2 * math.factorial(r - 2)), n, validate=False)
+    return InvariantForm(-0.5 * _shuffle(W, 1), n, validate=False)
 
 
 def skt_defect(mu: LieBracket, g: HermitianMetric) -> float:

@@ -29,7 +29,7 @@ pairs of real adapted basis vectors, treating {E_i} as orthonormal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,9 +39,6 @@ SYMMETRY_TOL = 1e-10    # antisymmetry, reality and Hermitian symmetry, relative
 KERNEL_TOL = 1e-9       # singular values below KERNEL_TOL * s_max span the center
 RANK_TOL = 1e-10        # rank cut and zero test of the lower central series
 COND_BOUND = 1e12       # largest condition number ``act`` accepts
-
-_FRAME_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-_NIJENHUIS_FACTOR_CACHE: dict[int, np.ndarray] = {}
 
 
 def bar_indices(n: int) -> np.ndarray:
@@ -54,6 +51,7 @@ def standard_j_diag(n: int) -> np.ndarray:
     return np.concatenate([1j * np.ones(n), -1j * np.ones(n)])
 
 
+@lru_cache(maxsize=32)
 def adapted_frame(n: int):
     """Change-of-basis data between real and complexified coordinates.
 
@@ -62,23 +60,21 @@ def adapted_frame(n: int):
     inverse, and J_real is J0 on real coordinates.  The arrays are cached
     and shared between callers, so they are read-only.
     """
-    if n not in _FRAME_CACHE:
-        m = 2 * n
-        S = np.zeros((m, m), dtype=complex)
-        for k in range(n):
-            S[k, k] = 1.0
-            S[n + k, k] = 1.0
-            S[k, n + k] = 1j
-            S[n + k, n + k] = -1j
-        Sinv = S.conj().T / 2.0
-        J_real = np.zeros((m, m))
-        J_real[n:, :n] = np.eye(n)
-        J_real[:n, n:] = -np.eye(n)
-        frame = (S, Sinv, J_real, standard_j_diag(n))
-        for arr in frame:
-            arr.setflags(write=False)
-        _FRAME_CACHE[n] = frame
-    return _FRAME_CACHE[n]
+    m = 2 * n
+    S = np.zeros((m, m), dtype=complex)
+    for k in range(n):
+        S[k, k] = 1.0
+        S[n + k, k] = 1.0
+        S[k, n + k] = 1j
+        S[n + k, n + k] = -1j
+    Sinv = S.conj().T / 2.0
+    J_real = np.zeros((m, m))
+    J_real[n:, :n] = np.eye(n)
+    J_real[:n, n:] = -np.eye(n)
+    frame = (S, Sinv, J_real, standard_j_diag(n))
+    for arr in frame:
+        arr.setflags(write=False)
+    return frame
 
 
 def conj_tensor(T: np.ndarray, n: int) -> np.ndarray:
@@ -201,20 +197,22 @@ def jacobi_defect(mu: LieBracket) -> float:
 
 def nijenhuis_defect(mu: LieBracket) -> float:
     """Max norm of the Nijenhuis tensor of J0 with respect to mu."""
-    n = mu.n
-    factor = _NIJENHUIS_FACTOR_CACHE.get(n)
-    if factor is None:
-        # depends on n only, so it is built once per n and shared read-only
-        j = standard_j_diag(n)
-        factor = (
-            j[:, None, None] * j[None, :, None]
-            - j[:, None, None] * j[None, None, :]
-            - j[None, :, None] * j[None, None, :]
-            - 1.0
-        )
-        factor.setflags(write=False)
-        _NIJENHUIS_FACTOR_CACHE[n] = factor
-    return float(np.abs(factor * mu.coeffs).max())
+    return float(np.abs(_nijenhuis_factor(mu.n) * mu.coeffs).max())
+
+
+@lru_cache(maxsize=32)
+def _nijenhuis_factor(n: int) -> np.ndarray:
+    """N[a, b, c] = j_a j_b - j_a j_c - j_b j_c - 1, shared read-only: the
+    Nijenhuis tensor of J0 is N * coeffs."""
+    j = standard_j_diag(n)
+    factor = (
+        j[:, None, None] * j[None, :, None]
+        - j[:, None, None] * j[None, None, :]
+        - j[None, :, None] * j[None, None, :]
+        - 1.0
+    )
+    factor.setflags(write=False)
+    return factor
 
 
 def nilpotency_step(mu: LieBracket) -> int | None:

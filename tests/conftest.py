@@ -17,7 +17,7 @@ from pluriflow.bismut_ricci import (
     p_of_bracket,
     rho_B,
 )
-from pluriflow.connections import BilinearForm
+from pluriflow.connections import BilinearForm, Connection
 from pluriflow.hermitian_forms import (
     HermitianMetric,
     InvariantForm,
@@ -109,6 +109,29 @@ def brute_nijenhuis(mu: LieBracket) -> float:
             - j[b] * (j * c[a, b, :]) - c[a, b, :]
         worst = max(worst, float(np.abs(n_ab).max()))
     return worst
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), by counting inversions."""
+    sign = 1
+    for i, j in itertools.combinations(range(len(perm)), 2):
+        if perm[i] > perm[j]:
+            sign = -sign
+    return sign
+
+
+def alt(T: np.ndarray) -> np.ndarray:
+    """Signed sum of T over all permutations of its slots, with no 1/r! factor."""
+    return sum(perm_sign(perm) * T.transpose(perm)
+               for perm in itertools.permutations(range(T.ndim)))
+
+
+def brute_basis_form(n: int, *indices: int) -> np.ndarray:
+    """Elementary wedge as a permutation table: T[indices o perm] = sign(perm)."""
+    T = np.zeros((2 * n,) * len(indices), dtype=complex)
+    for perm in itertools.permutations(range(len(indices))):
+        T[tuple(indices[p] for p in perm)] = perm_sign(perm)
+    return T
 
 
 def brute_d(mu: LieBracket, T: np.ndarray) -> np.ndarray:
@@ -216,6 +239,11 @@ def one_one_part(b: BilinearForm) -> BilinearForm:
     return BilinearForm(matrix=avg, symmetric=b.symmetric)
 
 
+def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
+    """T[i, j, k]: the E_k component of T(E_i, E_j)."""
+    return conn.coeffs - conn.coeffs.transpose(1, 0, 2) - mu.real_structure()
+
+
 def real_matrix(P: Endomorphism) -> np.ndarray:
     """Action of an endomorphism on real adapted coordinates."""
     S, Sinv, _, _ = adapted_frame(P.n)
@@ -290,9 +318,7 @@ def frame_codifferential(mu: LieBracket, g: HermitianMetric, T: np.ndarray) -> n
     U, Uinv = orthonormal_real_frame(g)
     mu_u = np.einsum("ia,jb,ijk,ck->abc", U, U, mu.coeffs, Uinv)
     W = np.tensordot(np.conj(mu_u), _to_frame(T, U), axes=([0, 1], [0, 1]))
-    alt = sum(np.sign(np.prod([q - p for p, q in itertools.combinations(perm, 2)]))
-              * W.transpose(perm) for perm in itertools.permutations(range(r - 1)))
-    return _to_frame(-alt / (2 * math.factorial(r - 2)), Uinv)
+    return _to_frame(-alt(W) / (2 * math.factorial(r - 2)), Uinv)
 
 
 # The curvature path as index contractions, one einsum per formula: the

@@ -15,6 +15,7 @@ from conftest import (
     non_integrable_bracket,
     one_one_part,
     random_pd_metric,
+    torsion_tensor,
 )
 from pluriflow import catalog, connections
 from pluriflow.errors import IntegrabilityError, NotTwoStepError, ValidationError
@@ -24,7 +25,6 @@ from pluriflow.connections import (
     eberlein_oracle,
     levi_civita,
     ricci_forms,
-    torsion_tensor,
 )
 from pluriflow.hermitian_forms import (
     HermitianMetric,

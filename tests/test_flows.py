@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from pluriflow.flows import (
     step,
     _bracket_field,
     _hermitize,
+    _integrate,
     _metric_field,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm, require_integrable, skt_defect
@@ -34,6 +36,21 @@ def fixed_step_run(field, y0, project, dt, nsteps, error_target=1e-9):
     for _ in range(nsteps):
         ys.append(project(step(field, ys[-1], dt, error_target)))
     return ys
+
+
+def test_sample_grid_is_walked_lazily():
+    # a million samples; the guard ends the run at the first accepted step, so
+    # a grid built up front would be nearly all of the run's allocations
+    cfg = IntegratorConfig(dt=1e-6, t_end=1.0, sample_every=1)
+    tracemalloc.start()
+    try:
+        cause, stats = _integrate(lambda y: -y, np.ones(2), lambda y: y,
+                                  lambda y: True, lambda t, y: None, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cause == "positivity_floor" and stats["accepted_steps"] == 1
+    assert peak < 1 << 20, f"peak {peak / 1e6:.1f} MB"
 
 
 def _rel(a, b):

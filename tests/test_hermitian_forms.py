@@ -1,9 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from conftest import (
     abelian,
+    alt,
     assert_form_close,
+    brute_basis_form,
     brute_d,
     dense_skt_defect,
     frame_codifferential,
@@ -46,6 +51,21 @@ from pluriflow.lie_core import (
 
 def zeta_wedge(n, *indices):
     return basis_form(n, *indices)
+
+
+def test_basis_form_matches_permutation_table(rng):
+    for r in range(5):
+        for indices in itertools.combinations(range(4), r):
+            form = basis_form(2, *indices)
+            assert form.degree == r
+            assert np.array_equal(form.tensor, brute_basis_form(2, *indices)), indices
+    for r in range(7):
+        for _ in range(4):
+            indices = tuple(int(a) for a in rng.permutation(6)[:r])
+            assert np.array_equal(basis_form(3, *indices).tensor,
+                                  brute_basis_form(3, *indices)), indices
+    with pytest.raises(ValidationError):
+        basis_form(2, 0, 1, 0)
 
 
 def test_metric_validation():
@@ -142,15 +162,7 @@ def test_d_squared_zero_all_degrees(rng):
 
 
 def _antisymmetrize(T):
-    import math
-
-    from pluriflow.hermitian_forms import _perms_with_signs
-
-    r = T.ndim
-    out = np.zeros_like(T)
-    for perm, sign in _perms_with_signs(r):
-        out = out + sign * np.transpose(T, perm)
-    return out / math.factorial(r)
+    return alt(T) / math.factorial(T.ndim)
 
 
 def test_d_matches_bruteforce(rng, solvable, inoue):

@@ -164,7 +164,7 @@ def test_nijenhuis_defect(heisenberg):
 def test_nijenhuis_defect_cached_factor_is_the_formula(rng):
     # the factor is built once per n; repeated calls agree bit for bit with
     # the formula built afresh, and the shared factor is read-only
-    from pluriflow.lie_core import _NIJENHUIS_FACTOR_CACHE, standard_j_diag
+    from pluriflow.lie_core import _nijenhuis_factor, standard_j_diag
 
     for n in (2, 3, 4, 5):
         m = 2 * n
@@ -176,7 +176,7 @@ def test_nijenhuis_defect_cached_factor_is_the_formula(rng):
         fresh = float(np.abs(factor * mu.coeffs).max())
         assert fresh > 0.1
         assert nijenhuis_defect(mu) == fresh and nijenhuis_defect(mu) == fresh
-        assert not _NIJENHUIS_FACTOR_CACHE[n].flags.writeable
+        assert not _nijenhuis_factor(n).flags.writeable
 
 
 def test_act_identity_and_scaling(heisenberg):
