@@ -58,30 +58,38 @@ class Endomorphism:
         return f"Endomorphism(n={self.n})"
 
 
-def eta_components(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Holomorphic components eta_a of the Bismut 1-form, raw-array path."""
+def eta_components(coeffs: np.ndarray, G: np.ndarray,
+                   Ginv: np.ndarray | None = None) -> np.ndarray:
+    """Holomorphic components eta_a of the Bismut 1-form, raw-array path.
+
+    Ginv is the inverse of G, inverted here when not given; a caller whose
+    metric does not change passes it once for all calls.
+    """
     n = G.shape[0]
     trace = coeffs[:n, :n, :n].trace(axis1=1, axis2=2)   # mu_{ar}^r
     mixed = coeffs[:n, n:, n:].reshape(n * n, n)          # mu_{r kbar}^{lbar}, rows (r, k)
-    t = np.linalg.inv(G).T.reshape(n * n) @ mixed        # t_l = g^{kbar r} mu_{r kbar}^{lbar}
+    if Ginv is None:
+        Ginv = np.linalg.inv(G)
+    t = Ginv.T.reshape(n * n) @ mixed                    # t_l = g^{kbar r} mu_{r kbar}^{lbar}
     return 1j * (G @ t - trace)
 
 
-def eta_vector(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
+def eta_vector(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray | None = None) -> np.ndarray:
     """Full 2n coefficient vector of eta (holomorphic half plus conjugates)."""
-    h = eta_components(coeffs, G)
+    h = eta_components(coeffs, G, Ginv)
     return np.concatenate([h, np.conj(h)])
 
 
-def rho_tensor(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
+def rho_tensor(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray | None = None) -> np.ndarray:
     """Dense 2-form tensor of rho_B = d(eta): rho[a, b] = -mu_ab^c eta_c."""
-    return -(coeffs @ eta_vector(coeffs, G))
+    return -(coeffs @ eta_vector(coeffs, G, Ginv))
 
 
-def rho11_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
+def rho11_matrix(coeffs: np.ndarray, G: np.ndarray,
+                 Ginv: np.ndarray | None = None) -> np.ndarray:
     """Coefficient matrix rho[i, j] with (rho_B)^{1,1} = -i rho[i, j] z^i w z^jbar."""
     n = G.shape[0]
-    return 1j * rho_tensor(coeffs, G)[:n, n:]
+    return 1j * rho_tensor(coeffs, G, Ginv)[:n, n:]
 
 
 def rho20_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -123,7 +131,7 @@ def p_of_bracket(mu: LieBracket) -> Endomorphism:
     """Endomorphism P with omega_0(P X, Y) = (rho_B)^{1,1}(X, Y) at the standard metric."""
     require_integrable(mu)
     G0 = np.eye(mu.n, dtype=complex)
-    return Endomorphism(rho11_matrix(mu.coeffs, G0).T)
+    return Endomorphism(rho11_matrix(mu.coeffs, G0, G0).T)
 
 
 def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> Endomorphism:

@@ -20,19 +20,23 @@ meet ``error_target / 10`` relative error each (see ``flows``).
 
 Outputs: ``<prefix>_trajectory.csv`` with a commented header naming every
 column, and ``<prefix>_summary.json``, whose ``telemetry`` block holds the
-run's ``rhs_calls``, ``accepted_steps`` and ``rejected_steps``.  The
-summary and the ``verify`` report are strict JSON: a non-finite number is
-written as the string "nan", "inf" or "-inf".  The PLURIFLOW_OUTDIR
-environment variable overrides the output directory.
+run's ``rhs_calls``, ``accepted_steps`` and ``rejected_steps``.  Every CSV
+value is Python's ``repr`` of a float64, the shortest string that reads
+back to the same float, and each state entry's real and imaginary parts
+sit in adjacent columns.  The summary and the ``verify`` report are strict
+JSON: a non-finite number is written as the string "nan", "inf" or "-inf".
+The PLURIFLOW_OUTDIR environment variable overrides the output directory.
 
-Exit codes: 0 success, 2 validation failure (Jacobi included), 3 blow-down
-before t_end, 4 integrator failure (a step below dt * 2**-max_halvings
-needed) or a non-integrable bracket, 5 parse error.
+Exit codes: 0 success, 2 validation failure (Jacobi included, and a missing
+key or a wrong type while the config is read), 3 blow-down before t_end,
+4 integrator failure (a step below dt * 2**-max_halvings needed) or a
+non-integrable bracket, 5 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -148,13 +152,10 @@ def _state_parts(state) -> list[tuple[str, np.ndarray]]:
             for name, v in values if v is not None]
 
 
-def _state_values(state) -> list[float]:
-    """Real and imaginary parts of every state entry, interleaved, as floats."""
-    vals: list[float] = []
-    for _, arr in _state_parts(state):
-        a = np.asarray(arr, dtype=complex).reshape(-1)
-        vals += np.stack([a.real, a.imag], -1).ravel().tolist()
-    return vals
+def _state_vector(state) -> np.ndarray:
+    """Real and imaginary parts of every state entry, interleaved, as float64."""
+    return np.concatenate([np.ascontiguousarray(arr, dtype=complex).reshape(-1).view(np.float64)
+                           for _, arr in _state_parts(state)])
 
 
 def _state_columns(state) -> tuple[list[str], list[float]]:
@@ -162,18 +163,43 @@ def _state_columns(state) -> tuple[list[str], list[float]]:
              for prefix, arr in _state_parts(state)
              for idx in range(np.size(arr))
              for part in ("re", "im")]
-    return names, _state_values(state)
+    return names, _state_vector(state).tolist()
+
+
+def _format_row(row: np.ndarray) -> str:
+    """``",".join(map(repr, row))``, with one ``repr`` per distinct magnitude.
+
+    ``repr`` of a float depends only on its bits, and ``repr(-x)`` is
+    ``"-" + repr(x)`` for every x whose sign bit is clear, 0.0 and inf
+    included.  So each value below zero is formatted as its negation with a
+    "-" prefix; every other value (-0.0 and a NaN of either sign among them)
+    keeps its own bits, and values with equal bits share one string.
+    """
+    neg = row < 0
+    uniq, inverse = np.unique(np.where(neg, -row, row).view(np.uint64), return_inverse=True)
+    texts = list(map(repr, uniq.view(np.float64).tolist()))
+    table = np.array(texts + ["-" + s for s in texts], dtype=object)
+    return ",".join(table[inverse + len(texts) * neg].tolist())
 
 
 def write_trajectory(path: str, traj: FlowTrajectory) -> None:
+    """Write the header and one row per sample: t, the state, the monitors.
+
+    Each value is ``repr`` of a float64.  A bracket row repeats each
+    magnitude about eight times (mu is antisymmetric and real), so
+    ``_format_row`` formats each distinct one once; the bytes are those of
+    a ``repr`` per value.  Rows are built and written one at a time, so
+    memory does not grow with the length of the trajectory.
+    """
     monitor_names = sorted(traj.monitors)
     with open(path, "w") as fh:
         names, _ = _state_columns(traj.states[0])
         header = ["t"] + names + monitor_names
         fh.write("# " + ",".join(header) + "\n")
         for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-            row = [float(t)] + _state_values(state) + [traj.monitors[m][i] for m in monitor_names]
-            fh.write(",".join(map(repr, row)) + "\n")
+            row = np.concatenate([[t], _state_vector(state),
+                                  [traj.monitors[m][i] for m in monitor_names]])
+            fh.write(_format_row(row) + "\n")
 
 
 def closed_form_deviation(entry: catalog.CatalogEntry, flow: str,
@@ -202,23 +228,37 @@ def closed_form_deviation(entry: catalog.CatalogEntry, flow: str,
     return worst
 
 
+@contextlib.contextmanager
+def _reading_config():
+    """A missing key or a wrongly typed value met while reading the config is
+    a ValidationError; raised anywhere else, these are program faults."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _load(cfg: dict):
     """(bracket, catalog entry or None, flow kind, seed, initial report), judged."""
-    mu, entry = load_algebra(cfg["algebra"])
-    flow = cfg.get("flow", "pluriclosed")
-    if flow not in ("pluriclosed", "bracket", "bracket_gauged", "hs"):
-        raise ValidationError(f"unknown flow kind {flow!r}")
-    seed = load_seed(cfg.get("seed", "default"), entry, flow, mu.n)
+    with _reading_config():
+        mu, entry = load_algebra(cfg["algebra"])
+        flow = cfg.get("flow", "pluriclosed")
+        if flow not in ("pluriclosed", "bracket", "bracket_gauged", "hs"):
+            raise ValidationError(f"unknown flow kind {flow!r}")
+        seed = load_seed(cfg.get("seed", "default"), entry, flow, mu.n)
     return mu, entry, flow, seed, initial_report(mu, seed, flow)
 
 
 def run_config(cfg: dict) -> int:
     mu, entry, flow, seed, report = _load(cfg)
-    icfg = IntegratorConfig(**cfg.get("integrator", {}))
-    out = cfg.get("output", {})
-    outdir = os.environ.get("PLURIFLOW_OUTDIR", out.get("directory", "."))
-    prefix = out.get("prefix", "run")
-    os.makedirs(outdir, exist_ok=True)
+    with _reading_config():
+        icfg = IntegratorConfig(**cfg.get("integrator", {}))
+        out = cfg.get("output", {})
+        if not isinstance(out, dict):
+            raise ValidationError("output must be an object")
+        outdir = os.environ.get("PLURIFLOW_OUTDIR", out.get("directory", "."))
+        prefix = out.get("prefix", "run")
+        os.makedirs(outdir, exist_ok=True)
 
     if flow == "pluriclosed":
         traj = pluriclosed_flow(mu, seed, icfg)
@@ -301,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "run":
             return run_config(cfg)
         return verify_config(cfg)
-    except (ValidationError, KeyError, TypeError) as exc:
+    except ValidationError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PluriflowError as exc:

@@ -318,11 +318,11 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
 
 def _bracket_field(n: int, with_gauge: bool) -> Callable:
     size_mu = (2 * n) ** 3
-    identity = np.eye(n, dtype=complex)
+    identity = np.eye(n, dtype=complex)   # the standard metric, its own inverse
 
     def f(y: np.ndarray) -> np.ndarray:
         coeffs = y[:size_mu].reshape(2 * n, 2 * n, 2 * n)
-        Pc = rho11_matrix(coeffs, identity).T
+        Pc = rho11_matrix(coeffs, identity, identity).T
         dmu = 0.5 * delta_mu(coeffs, complexify(Pc))
         if not with_gauge:
             return dmu.reshape(-1)

@@ -4,6 +4,7 @@ The oracles here are deliberately written as plain python loops over the
 defining formulas, independent of the vectorized library paths they check.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -289,6 +290,34 @@ def explicit_algebra(mu: LieBracket) -> dict:
         "J": J.tolist(),
         "frame": np.stack([frame.real, frame.imag], axis=-1).tolist(),
     }
+
+
+def repr_row(row) -> str:
+    """A trajectory CSV row: Python's repr of each float, comma-separated."""
+    return ",".join(map(repr, row))
+
+
+def repr_write_trajectory(path: str, traj) -> None:
+    """The trajectory CSV written one ``repr`` per value, row by row: the
+    reference for the byte contract of ``cli.write_trajectory``."""
+    def parts(state):
+        for f in dataclasses.fields(state):
+            v = getattr(state, f.name)
+            if v is not None:
+                yield f.name, np.asarray(getattr(v, "matrix", getattr(v, "coeffs", v)),
+                                         dtype=complex).reshape(-1)
+
+    monitor_names = sorted(traj.monitors)
+    names = [f"{name}_{idx}_{part}" for name, a in parts(traj.states[0])
+             for idx in range(a.size) for part in ("re", "im")]
+    with open(path, "w") as fh:
+        fh.write("# " + ",".join(["t"] + names + monitor_names) + "\n")
+        for i, (t, state) in enumerate(zip(traj.times, traj.states)):
+            row = [float(t)]
+            for _, a in parts(state):
+                row += np.stack([a.real, a.imag], -1).ravel().tolist()
+            row += [traj.monitors[m][i] for m in monitor_names]
+            fh.write(repr_row(row) + "\n")
 
 
 def orthonormal_real_frame(g: HermitianMetric):

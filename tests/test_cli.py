@@ -1,13 +1,23 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import count_defects, explicit_algebra, export_config, generic_integrable_bracket
+from conftest import (
+    count_defects,
+    explicit_algebra,
+    export_config,
+    generic_integrable_bracket,
+    repr_row,
+    repr_write_trajectory,
+)
 import pluriflow
 from pluriflow import catalog, cli, flows
 
@@ -182,18 +192,24 @@ _LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_LAYOUTS))
-def test_trajectory_csv_parses_back_exactly(tmp_path, kind):
+def _trajectory(kind):
     cfg = flows.IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=5)
     if kind == "hs":
         entry = catalog.solvable_2414()
-        traj = flows.hs_flow(entry.bracket, entry.default_tamed, cfg)
-    elif kind == "pluriclosed":
+        return flows.hs_flow(entry.bracket, entry.default_tamed, cfg)
+    if kind == "pluriclosed":
         entry = catalog.random_2step_skt(2, 3)
-        traj = flows.pluriclosed_flow(entry.bracket, entry.default_metric, cfg)
-    else:
-        traj = flows.bracket_flow(catalog.random_2step_skt(2, 3).bracket, cfg,
-                                  with_gauge=kind == "bracket_gauged")
+        return flows.pluriclosed_flow(entry.bracket, entry.default_metric, cfg)
+    if kind == "bracket_n5":   # 51 rows of 2006 values: the writer's largest load
+        return flows.bracket_flow(catalog.random_2step_skt(5, 7).bracket,
+                                  flows.IntegratorConfig(dt=1e-2, t_end=0.5, sample_every=1))
+    return flows.bracket_flow(catalog.random_2step_skt(2, 3).bracket, cfg,
+                              with_gauge=kind == "bracket_gauged")
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYOUTS))
+def test_trajectory_csv_parses_back_exactly(tmp_path, kind):
+    traj = _trajectory(kind)
     path = tmp_path / "traj.csv"
     cli.write_trajectory(str(path), traj)
     lines = path.read_text().splitlines()
@@ -213,6 +229,54 @@ def test_trajectory_csv_parses_back_exactly(tmp_path, kind):
             assert np.array_equal(got, flat)
             k += 2 * flat.size
         assert vals[k:] == [traj.monitors[m][i] for m in monitors]
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYOUTS) + ["bracket_n5"])
+def test_trajectory_csv_is_one_repr_per_value(tmp_path, kind):
+    traj = _trajectory(kind)
+    cli.write_trajectory(str(tmp_path / "traj.csv"), traj)
+    repr_write_trajectory(str(tmp_path / "ref.csv"), traj)
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    if kind == "bracket_n5":
+        # rows are formatted one at a time: a whole-file array needs over 2 MB
+        assert len(traj.times) == 51
+        tracemalloc.start()
+        try:
+            cli.write_trajectory(str(tmp_path / "traced.csv"), traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"write_trajectory peak {peak} bytes"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                   2.2250738585072009e-308, 1.7976931348623157e308,
+                   float(np.uint64(0xFFF8000000000001).view(np.float64)),
+                   float(np.uint64(0x7FF0000000000001).view(np.float64))]
+
+
+@given(values=st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+                       min_size=1, max_size=40),
+       mirror=st.lists(st.booleans(), max_size=40))
+@example(values=_SPECIAL_FLOATS, mirror=[True] * len(_SPECIAL_FLOATS))
+@example(values=[-0.0], mirror=[])
+@example(values=[float(np.uint64(0xFFF8000000000001).view(np.float64))], mirror=[])
+@settings(max_examples=300, deadline=None)
+def test_format_row_is_repr_join(values, mirror):
+    # x and -x in one row share a magnitude; a NaN of either sign is "nan"
+    row = np.array(values + [-v for v, m in zip(values, mirror) if m], dtype=np.float64)
+    assert cli._format_row(row) == repr_row(row.tolist())
+
+
+def test_program_fault_is_not_a_config_error(tmp_path, monkeypatch):
+    # KeyError and TypeError mean "invalid configuration" only while the config is read
+    def broken(path, traj):
+        raise TypeError("writer bug")
+
+    monkeypatch.setattr(cli, "write_trajectory", broken)
+    cfg = heis_run_cfg(tmp_path, tmp_path / "out", t_end=0.1, dt=1e-2)
+    with pytest.raises(TypeError, match="writer bug"):
+        cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)])
 
 
 @pytest.mark.parametrize("flow", ["bracket", "bracket_gauged"])
@@ -329,6 +393,14 @@ def test_invalid_integrator_exits_validation(tmp_path, capsys, settings):
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "heis_trajectory.csv").exists()
+
+
+def test_output_block_must_be_an_object(tmp_path, capsys):
+    cfg = heis_run_cfg(tmp_path, tmp_path / "out", t_end=1.0)
+    cfg["output"] = [str(tmp_path / "out"), "heis"]
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid configuration: output must be an object" in err and "Traceback" not in err
 
 
 def test_defect_tolerances_are_not_a_setting(tmp_path, capsys):
