@@ -41,18 +41,15 @@ from .connections import (
     CurvatureTensor,
     bismut,
     curvature,
-    eberlein_oracle,
     levi_civita,
     ricci_forms,
 )
 from .bismut_ricci import (
     Endomorphism,
-    bismut_scalar,
     eta,
     p_of_bracket,
     p_of_metric,
     rho_B,
-    rho_B_2step,
     static_defect,
 )
 from .flows import (

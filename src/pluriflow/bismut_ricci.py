@@ -24,16 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTwoStepError, ValidationError
+from .errors import ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
-    big_bilinear,
     d_mu,
     fundamental_form,
     require_integrable,
 )
-from .lie_core import LieBracket, complexify, nilpotency_step
+from .lie_core import LieBracket, complexify
 
 
 class Endomorphism:
@@ -109,24 +108,6 @@ def rho_B(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     return d_mu(mu, eta(mu, g))
 
 
-def rho_B_2step(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
-    """Direct shortcut valid when the bracket is at most 2-step nilpotent:
-
-    rho_B(X, Y) = -i g^{rbar k} g(mu(X, Y), mu(Z_r, Z_kbar)).
-    """
-    step = nilpotency_step(mu)
-    if step is None or step > 2:
-        raise NotTwoStepError(f"nilpotency step is {step}, need <= 2")
-    n = mu.n
-    G = g.matrix
-    Ginv = np.linalg.inv(G)
-    B = big_bilinear(g)
-    # w[r, k, :] = mu(Z_r, Z_kbar) paired against mu(X, Y) through B
-    pair = np.einsum("kr,rkC,CD->D", Ginv, mu.coeffs[:n, n:, :], B)
-    T = -1j * np.einsum("abD,D->ab", mu.coeffs, pair)
-    return InvariantForm(T, n, validate=False)
-
-
 def p_of_bracket(mu: LieBracket) -> Endomorphism:
     """Endomorphism P with omega_0(P X, Y) = (rho_B)^{1,1}(X, Y) at the standard metric."""
     require_integrable(mu)
@@ -137,20 +118,9 @@ def p_of_bracket(mu: LieBracket) -> Endomorphism:
 def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> Endomorphism:
     """Endomorphism P(omega) with omega(P X, Y) = (rho_B)^{1,1}(X, Y) for (mu0, g)."""
     require_integrable(mu0)
-    rho = rho11_matrix(mu0.coeffs, g.matrix)
-    return Endomorphism((rho @ np.linalg.inv(g.matrix)).T)
-
-
-def bismut_scalar(mu: LieBracket) -> float:
-    """b = -||sum_r mu(Z_r, Z_rbar)||^2 in the standard Hermitian norm.
-
-    Equals the bilinear square of the trace vector, which is real and
-    nonpositive because the vector is anti-real.
-    """
-    n = mu.n
-    v = mu.coeffs[np.arange(n), np.arange(n, 2 * n), :].sum(axis=0)
-    b = 2.0 * np.sum(v[:n] * v[n:])
-    return float(b.real)
+    Ginv = np.linalg.inv(g.matrix)
+    rho = rho11_matrix(mu0.coeffs, g.matrix, Ginv)
+    return Endomorphism((rho @ Ginv).T)
 
 
 @dataclass

@@ -9,7 +9,12 @@ if violated, which pins the sign conventions.
 
 Curvature follows R(X, Y) = [nabla_X, nabla_Y] - nabla_{[X, Y]} and the
 Ricci traces use ric(X, Y) = g^{kr} R(e_k, X, Y, e_r) together with
-rho(X, Y) = (1/2) g^{kr} g(R(X, Y) e_k, J e_r).
+rho(X, Y) = (1/2) g^{kr} g(R(X, Y) e_k, J e_r).  Neither trace reads the
+metric: lowering with g and raising with g^{-1} cancel, because the Gram
+matrix is symmetric (g^{-1} g^T = I) and J-invariant (g^{-1} (g J)^T = -J).
+So ric[X, Y] = R[k, X, k, Y] and rho[X, Y] = R[X, Y, m, k] J[m, k] / 2 on
+the curvature coefficients R[i, j, m, l] (the E_m component of
+R(E_i, E_j) E_l).
 
 The public entries check their input (``require_integrable`` and
 ``require_jacobi``, which read the bracket's cached defects) and hand the
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotTwoStepError, ValidationError
+from .errors import ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
@@ -39,14 +44,7 @@ from .hermitian_forms import (
     require_integrable,
     transform_form,
 )
-from .lie_core import (
-    KERNEL_TOL,
-    LieBracket,
-    adapted_frame,
-    center,
-    nilpotency_step,
-    standard_j_diag,
-)
+from .lie_core import LieBracket, adapted_frame, standard_j_diag
 
 JACOBI_TOL = 1e-8            # Jacobi defect, judged by ``require_jacobi``
 BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
@@ -202,13 +200,9 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     Rg = _curvature(lc.transpose(0, 2, 1), c)
     Rb = _curvature(bc.matrices(), c)
 
-    # ric(X, Y) = M[k, m] R[k, X, m, Y] and rho(X, Y) = Mj[k, m] R[X, Y, m, k] / 2
-    # with M = g^-1 g^T and Mj = g^-1 (g J)^T
-    M = graminv @ gram.T
-    ric_g = np.tensordot(M, Rg, axes=([0, 1], [0, 2]))
-    ric_b = np.tensordot(M, Rb, axes=([0, 1], [0, 2]))
-    Mj = graminv @ (gram @ J_real).T
-    rho_real = 0.5 * np.tensordot(Rb, Mj, axes=([2, 3], [1, 0]))
+    ric_g = np.trace(Rg, axis1=0, axis2=2)
+    ric_b = np.trace(Rb, axis1=0, axis2=2)
+    rho_real = 0.5 * np.tensordot(Rb, J_real, axes=([2, 3], [0, 1]))
     rho_b_trace = InvariantForm(transform_form(rho_real, Sinv), mu.n, validate=False)
 
     omega = fundamental_form(g)
@@ -221,66 +215,3 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
         rho_b_trace=rho_b_trace,
         rho_c=rho_c,
     )
-
-
-def _gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt with respect to ``gram``; drops dependent columns."""
-    out = []
-    for j in range(cols_real.shape[1]):
-        v = cols_real[:, j].copy()
-        for u in out:
-            v = v - (u @ gram @ v) * u
-        norm = float(v @ gram @ v)
-        if norm > KERNEL_TOL:
-            out.append(v / np.sqrt(norm))
-    return np.stack(out, axis=1) if out else np.zeros((cols_real.shape[0], 0))
-
-
-def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> BilinearForm:
-    """Riemannian Ricci tensor of a 2-step nilpotent metric algebra from the
-    skew maps iota(Z) defined by g(iota(Z) X, Y) = g(mu(X, Y), Z).
-
-    Blockwise: ric = (1/2) sum_i iota(z_i)^2 on the complement of the center,
-    ric(Z, Z*) = -(1/4) tr iota(Z) iota(Z*) on the center, zero on mixed pairs.
-    """
-    step = nilpotency_step(mu)
-    if step is None or step > 2:
-        raise NotTwoStepError(f"nilpotency step is {step}, need <= 2")
-    m = mu.dim
-    gram = gram_real(g)
-    struct = mu.real_structure()
-
-    xi = center(mu)
-    _, Sinv, _, _ = adapted_frame(mu.n)
-    # real span of the (conjugation-stable) center
-    rc = Sinv @ xi.basis if xi.dim else np.zeros((m, 0))
-    cand = np.concatenate([rc.real, rc.imag], axis=1)
-    Z = _gram_orthonormal(cand, gram)
-    p = Z.shape[1]
-    # g-orthogonal complement of the center
-    if p:
-        proj = np.eye(m) - Z @ (Z.T @ gram)
-    else:
-        proj = np.eye(m)
-    V = _gram_orthonormal(proj, gram)
-    q = V.shape[1]
-    if p + q != m:
-        raise ValidationError("center splitting failed to span the algebra")
-
-    # iota(z_i) on the complement, matrix entries in the V basis
-    brackets = np.einsum("ia,jb,ijk->abk", V, V, struct)  # mu(v_a, v_b) real coords
-    iotas = np.einsum("abk,kl,li->iba", brackets, gram, Z) if p else np.zeros((0, q, q))
-    # iotas[i, b, a] = g(mu(v_a, v_b), z_i) = g(iota(z_i) v_a, v_b) -> row b, col a
-
-    ric_vv = 0.5 * sum(iotas[i] @ iotas[i] for i in range(p)) if p else np.zeros((q, q))
-    ric_zz = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            ric_zz[i, j] = -0.25 * np.trace(iotas[i] @ iotas[j])
-
-    basis = np.concatenate([V, Z], axis=1)
-    block = np.zeros((m, m))
-    block[:q, :q] = ric_vv
-    block[q:, q:] = ric_zz
-    binv = np.linalg.inv(basis)
-    return BilinearForm(matrix=binv.T @ block @ binv, symmetric=True)

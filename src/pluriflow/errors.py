@@ -13,20 +13,12 @@ class IntegrabilityError(PluriflowError):
     """Operation requires an integrable complex structure but N_mu is too large."""
 
 
-class NotTwoStepError(PluriflowError):
-    """Operation requires a bracket that is at most 2-step nilpotent."""
-
-
 class SingularTransformError(PluriflowError):
     """Basis change matrix is singular or too badly conditioned."""
 
 
 class GridMismatchError(PluriflowError):
     """Two trajectories were expected to share the same time grid."""
-
-
-class StepRejectedError(PluriflowError):
-    """Step-size control exhausted the halving budget."""
 
 
 class RejectionBudgetError(PluriflowError):

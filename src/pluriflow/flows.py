@@ -14,18 +14,20 @@ metric flows run through ``_metric_flow``.  So there are two state classes,
 ``MetricState(g, beta=None)`` and ``BracketState(mu, h=None)``; their
 fields, in order, are the state columns of a trajectory CSV.
 
-All three flows run through one driver, ``_integrate``: the Dormand-Prince
-5(4) embedded pair with FSAL (the last stage of an accepted step is the
-first stage of the next, so a step costs 6 evaluations of the field).  The
+All three flows integrate with the Dormand-Prince 5(4) embedded pair
+(Dormand & Prince, J. Comput. Appl. Math. 6 (1980)) with FSAL: the last
+stage of an accepted step is the first stage of the next, so a step costs
+6 evaluations of the field.  The work is split in two.  ``step`` is one
+trial step: the six new stages, the projected 5th-order solution with its
+field value, and the embedded error estimate.  ``_integrate`` is the
+controller around it and makes every trial step through ``step``.  Its
 first step is dt, no step is longer than sample_every * dt, and steps are
 clipped to land exactly on the sample times k * dt of the grid.  A step is
-accepted when its embedded error estimate, relative to the state norm, is
-at most error_target / 10; the run ends as ``step_rejected`` when the
-controller asks for a step below dt * 2**-max_halvings.  Hermitian or
-bracket symmetry is restored by exact symmetrization of every accepted
-state, and the positivity floor is checked on accepted states.  ``step``,
-the fixed-dt RK4 step-doubling method, is kept as the reference the tests
-compare against.
+accepted when its error estimate, relative to the state norm, is at most
+error_target / 10; the run ends as ``step_rejected`` when the controller
+asks for a step below dt * 2**-max_halvings.  Hermitian or bracket
+symmetry is restored by exact symmetrization of every accepted state, and
+the positivity floor is checked on accepted states.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from .errors import GridMismatchError, StepRejectedError, ValidationError
+from .errors import GridMismatchError, ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
@@ -126,38 +128,6 @@ class FlowTrajectory:
         return self.states[-1]
 
 
-def _rk4(f: Callable, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(f: Callable, y: np.ndarray, dt: float, error_target: float = 1e-9,
-         max_halvings: int = 16, _depth: int = 0) -> np.ndarray:
-    """Advance exactly dt with step-doubling error control.
-
-    The full step and the first half step share f(y), so an accepted step
-    costs 11 evaluations of f.  On rejection the interval is split into two
-    halves, recursively, so the caller's time grid is preserved.  Raises
-    StepRejectedError when the halving budget is exhausted.
-    """
-    k1 = f(y)
-    big = _rk4(f, y, dt, k1)
-    mid = _rk4(f, y, 0.5 * dt, k1)
-    half = _rk4(f, mid, 0.5 * dt, f(mid))
-    scale = max(float(np.linalg.norm(y)), float(np.linalg.norm(half)), 1e-30)
-    diff = float(np.linalg.norm(big - half))
-    err = diff / (15.0 * scale)
-    if np.isfinite(err) and err <= error_target:
-        return half
-    if _depth >= max_halvings:
-        raise StepRejectedError(
-            f"step error {err:.3e} above target {error_target:.1e} after {_depth} halvings")
-    mid = step(f, y, 0.5 * dt, error_target, max_halvings, _depth + 1)
-    return step(f, mid, 0.5 * dt, error_target, max_halvings, _depth + 1)
-
-
 # Dormand-Prince 5(4): the stage rows of the Butcher tableau, whose last row
 # is the 5th-order solution (its field value is the next step's first stage),
 # and the 5th-order weights minus the embedded 4th-order ones.
@@ -174,6 +144,29 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 def _combine(weights: tuple, ks: list) -> np.ndarray:
     return sum(w * k for w, k in zip(weights, ks) if w)
+
+
+def step(f: Callable, y: np.ndarray, h: float, k1: np.ndarray,
+         project: Callable) -> tuple[np.ndarray, np.ndarray, float]:
+    """One Dormand-Prince 5(4) trial step of size h from y, where k1 = f(y).
+
+    Returns the 5th-order solution passed through ``project``, its field
+    value (the first stage of the next step) and the embedded error
+    estimate relative to the state norm, inf when that norm is not finite.
+    Costs 6 evaluations of f.
+    """
+    # trial stages may overflow; a non-finite estimate rejects the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        ks = [k1]
+        for row in _DP_A[:-1]:
+            ks.append(f(y + h * _combine(row, ks)))
+        y_new = project(y + h * _combine(_DP_A[-1], ks))
+        ks.append(f(y_new))
+        scale = max(float(np.linalg.norm(y)), float(np.linalg.norm(y_new)), 1e-30)
+        err = h * float(np.linalg.norm(_combine(_DP_E, ks))) / scale
+    if not np.isfinite(scale):
+        err = np.inf
+    return y_new, ks[-1], err
 
 
 def _integrate(field: Callable, y0: np.ndarray, project: Callable,
@@ -207,22 +200,12 @@ def _integrate(field: Callable, y0: np.ndarray, project: Callable,
             # stretch a step by up to 1% rather than leave a sliver before the sample
             land = t + 1.01 * h >= t_sample
             hs = t_sample - t if land else h
-            # trial stages may overflow; a non-finite estimate rejects the step
-            with np.errstate(over="ignore", invalid="ignore"):
-                ks = [k1]
-                for row in _DP_A[:-1]:
-                    ks.append(field(y + hs * _combine(row, ks)))
-                y_new = project(y + hs * _combine(_DP_A[-1], ks))
-                ks.append(field(y_new))
-                scale = max(float(np.linalg.norm(y)), float(np.linalg.norm(y_new)), 1e-30)
-                err = hs * float(np.linalg.norm(_combine(_DP_E, ks))) / scale
-            if not np.isfinite(scale):
-                err = np.inf
+            y_new, k_new, err = step(field, y, hs, k1, project)
             stats["rhs_calls"] += 6
             if err <= target:
                 stats["accepted_steps"] += 1
                 t = t_sample if land else t + hs
-                y, k1 = y_new, ks[-1]
+                y, k1 = y_new, k_new
                 if guard is not None and guard(y):
                     record(t, y)
                     return "positivity_floor", stats

@@ -148,9 +148,15 @@ class TamedForm:
         beta = np.asarray(beta, dtype=complex)
         if beta.shape != (n, n):
             raise ValidationError(f"beta must have shape ({n}, {n})")
-        if np.abs(beta + beta.T).max() > SYMMETRY_TOL * max(np.abs(beta).max(), 1.0):
-            raise ValidationError("beta must be antisymmetric")
-        self.beta = 0.5 * (beta - beta.T)
+        # entries near the float limit overflow here; a non-finite entry of
+        # beta leaves a non-finite entry in its antisymmetric part too
+        with np.errstate(over="ignore", invalid="ignore"):
+            antisym = 0.5 * (beta - beta.T)
+            if not np.isfinite(antisym).all():
+                raise ValidationError("beta and its antisymmetric part must be finite")
+            if np.abs(beta + beta.T).max() > SYMMETRY_TOL * max(np.abs(beta).max(), 1.0):
+                raise ValidationError("beta must be antisymmetric")
+        self.beta = antisym
         self.n = n
 
     def full_form(self) -> InvariantForm:

@@ -12,16 +12,13 @@ import numpy as np
 import pytest
 
 from pluriflow import catalog, cli, lie_core
-from pluriflow.bismut_ricci import (
-    Endomorphism,
-    bismut_scalar,
-    p_of_bracket,
-    rho_B,
-)
+from pluriflow.bismut_ricci import Endomorphism, p_of_bracket, rho_B
 from pluriflow.connections import BilinearForm, Connection
+from pluriflow.errors import ValidationError
 from pluriflow.hermitian_forms import (
     HermitianMetric,
     InvariantForm,
+    big_bilinear,
     d_mu,
     form_inner,
     fundamental_form,
@@ -29,6 +26,7 @@ from pluriflow.hermitian_forms import (
     transform_form,
 )
 from pluriflow.lie_core import (
+    KERNEL_TOL,
     SYMMETRY_TOL,
     LieBracket,
     Subspace,
@@ -37,6 +35,7 @@ from pluriflow.lie_core import (
     complexify,
     conj_tensor,
     export_real_structure,
+    nilpotency_step,
     standard_j_diag,
     symmetrize_bracket,
 )
@@ -250,6 +249,143 @@ def real_matrix(P: Endomorphism) -> np.ndarray:
     S, Sinv, _, _ = adapted_frame(P.n)
     M = Sinv @ P.full() @ S
     return M.real
+
+
+# Closed forms valid on 2-step data and the fixed-step integrator: references
+# for quantities the package computes on any data, used only by the tests.
+
+class NotTwoStepError(Exception):
+    """A 2-step closed form was asked for a bracket that is not 2-step nilpotent."""
+
+
+class StepRejectedError(Exception):
+    """The RK4 step-doubling reference exhausted its halving budget."""
+
+
+def _rk4(f, y: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_doubling_step(f, y: np.ndarray, dt: float, error_target: float = 1e-9,
+                      max_halvings: int = 16, _depth: int = 0) -> np.ndarray:
+    """Advance exactly dt with step-doubling error control.
+
+    The full step and the first half step share f(y), so an accepted step
+    costs 11 evaluations of f.  On rejection the interval is split into two
+    halves, recursively, so the caller's time grid is preserved.  Raises
+    StepRejectedError when the halving budget is exhausted.
+    """
+    k1 = f(y)
+    big = _rk4(f, y, dt, k1)
+    mid = _rk4(f, y, 0.5 * dt, k1)
+    half = _rk4(f, mid, 0.5 * dt, f(mid))
+    scale = max(float(np.linalg.norm(y)), float(np.linalg.norm(half)), 1e-30)
+    diff = float(np.linalg.norm(big - half))
+    err = diff / (15.0 * scale)
+    if np.isfinite(err) and err <= error_target:
+        return half
+    if _depth >= max_halvings:
+        raise StepRejectedError(
+            f"step error {err:.3e} above target {error_target:.1e} after {_depth} halvings")
+    mid = rk4_doubling_step(f, y, 0.5 * dt, error_target, max_halvings, _depth + 1)
+    return rk4_doubling_step(f, mid, 0.5 * dt, error_target, max_halvings, _depth + 1)
+
+
+def _require_two_step(mu: LieBracket) -> None:
+    step = nilpotency_step(mu)
+    if step is None or step > 2:
+        raise NotTwoStepError(f"nilpotency step is {step}, need <= 2")
+
+
+def gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt with respect to ``gram``; drops dependent columns."""
+    out = []
+    for j in range(cols_real.shape[1]):
+        v = cols_real[:, j].copy()
+        for u in out:
+            v = v - (u @ gram @ v) * u
+        norm = float(v @ gram @ v)
+        if norm > KERNEL_TOL:
+            out.append(v / np.sqrt(norm))
+    return np.stack(out, axis=1) if out else np.zeros((cols_real.shape[0], 0))
+
+
+def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> BilinearForm:
+    """Riemannian Ricci tensor of a 2-step nilpotent metric algebra from the
+    skew maps iota(Z) defined by g(iota(Z) X, Y) = g(mu(X, Y), Z).
+
+    Blockwise: ric = (1/2) sum_i iota(z_i)^2 on the complement of the center,
+    ric(Z, Z*) = -(1/4) tr iota(Z) iota(Z*) on the center, zero on mixed pairs.
+    """
+    _require_two_step(mu)
+    m = mu.dim
+    gram = gram_real(g)
+    struct = mu.real_structure()
+
+    xi = center(mu)
+    _, Sinv, _, _ = adapted_frame(mu.n)
+    # real span of the (conjugation-stable) center
+    rc = Sinv @ xi.basis if xi.dim else np.zeros((m, 0))
+    cand = np.concatenate([rc.real, rc.imag], axis=1)
+    Z = gram_orthonormal(cand, gram)
+    p = Z.shape[1]
+    # g-orthogonal complement of the center
+    if p:
+        proj = np.eye(m) - Z @ (Z.T @ gram)
+    else:
+        proj = np.eye(m)
+    V = gram_orthonormal(proj, gram)
+    q = V.shape[1]
+    if p + q != m:
+        raise ValidationError("center splitting failed to span the algebra")
+
+    # iota(z_i) on the complement, matrix entries in the V basis
+    brackets = np.einsum("ia,jb,ijk->abk", V, V, struct)  # mu(v_a, v_b) real coords
+    iotas = np.einsum("abk,kl,li->iba", brackets, gram, Z) if p else np.zeros((0, q, q))
+    # iotas[i, b, a] = g(mu(v_a, v_b), z_i) = g(iota(z_i) v_a, v_b) -> row b, col a
+
+    ric_vv = 0.5 * sum(iotas[i] @ iotas[i] for i in range(p)) if p else np.zeros((q, q))
+    ric_zz = np.zeros((p, p))
+    for i in range(p):
+        for j in range(p):
+            ric_zz[i, j] = -0.25 * np.trace(iotas[i] @ iotas[j])
+
+    basis = np.concatenate([V, Z], axis=1)
+    block = np.zeros((m, m))
+    block[:q, :q] = ric_vv
+    block[q:, q:] = ric_zz
+    binv = np.linalg.inv(basis)
+    return BilinearForm(matrix=binv.T @ block @ binv, symmetric=True)
+
+
+def rho_B_2step(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
+    """Direct shortcut valid when the bracket is at most 2-step nilpotent:
+
+    rho_B(X, Y) = -i g^{rbar k} g(mu(X, Y), mu(Z_r, Z_kbar)).
+    """
+    _require_two_step(mu)
+    n = mu.n
+    Ginv = np.linalg.inv(g.matrix)
+    B = big_bilinear(g)
+    # w[r, k, :] = mu(Z_r, Z_kbar) paired against mu(X, Y) through B
+    pair = np.einsum("kr,rkC,CD->D", Ginv, mu.coeffs[:n, n:, :], B)
+    T = -1j * np.einsum("abD,D->ab", mu.coeffs, pair)
+    return InvariantForm(T, n, validate=False)
+
+
+def bismut_scalar(mu: LieBracket) -> float:
+    """b = -||sum_r mu(Z_r, Z_rbar)||^2 in the standard Hermitian norm.
+
+    Equals the bilinear square of the trace vector, which is real and
+    nonpositive because the vector is anti-real.
+    """
+    n = mu.n
+    v = mu.coeffs[np.arange(n), np.arange(n, 2 * n), :].sum(axis=0)
+    b = 2.0 * np.sum(v[:n] * v[n:])
+    return float(b.real)
 
 
 # Pairing of the Bismut Ricci form against omega_0 under form_inner equals

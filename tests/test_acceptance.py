@@ -9,10 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import one_one_part, random_pd_metric, transport_metric
+from conftest import (
+    eberlein_oracle,
+    gram_orthonormal,
+    one_one_part,
+    random_pd_metric,
+    transport_metric,
+)
 from pluriflow import catalog
 from pluriflow.bismut_ricci import rho_B
-from pluriflow.connections import eberlein_oracle, ricci_forms
+from pluriflow.connections import ricci_forms
 from pluriflow.flows import (
     IntegratorConfig,
     backward_existence_probe,
@@ -240,14 +246,13 @@ def test_criterion_10_two_step_identities():
             eb = eberlein_oracle(mu, g)
             worst_eb = max(worst_eb, float(np.abs(eb.matrix - data.ric_g.matrix).max()))
 
-            from pluriflow.connections import _gram_orthonormal
             from pluriflow.hermitian_forms import gram_real
 
             gram = gram_real(g)
             xi = center(mu)
             _, Sinv, J, _ = adapted_frame(n)
             rc = Sinv @ xi.basis
-            Z = _gram_orthonormal(np.concatenate([rc.real, rc.imag], axis=1), gram)
+            Z = gram_orthonormal(np.concatenate([rc.real, rc.imag], axis=1), gram)
             P = np.eye(2 * n) - Z @ (Z.T @ gram)
 
             ric_b11 = one_one_part(data.ric_b).matrix

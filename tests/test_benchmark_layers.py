@@ -32,8 +32,17 @@ def test_traced_layers_see_a_bracket_run(monkeypatch, tmp_path):
     # stops calling a layer through them leaves that layer reading zero
     layers = _load_tracing().LAYERS
     assert "rho11_matrix" in layers["bismut_ricci"] and "write_trajectory" in layers["cli"]
+    assert "step" in layers["flows"]
     rho11 = count_calls(monkeypatch, "rho11_matrix", flows)
     writes = count_calls(monkeypatch, "write_trajectory", cli)
+    steps = count_calls(monkeypatch, "step", flows)
+    # the tracer counts right-hand-side calls through the field handed to step
+    counted_step, step_fields = flows.step, []
+
+    def step_with_counted_field(f, y, h, *args):
+        return counted_step(lambda v: (step_fields.append(1), f(v))[1], y, h, *args)
+
+    monkeypatch.setattr(flows, "step", step_with_counted_field)
     cfg = {"algebra": {"catalog": "random_2step_skt", "params": {"n": 2, "seed": 3}},
            "flow": "bracket", "seed": "default",
            "integrator": {"dt": 1e-2, "t_end": 0.2, "sample_every": 5},
@@ -41,6 +50,9 @@ def test_traced_layers_see_a_bracket_run(monkeypatch, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path)]) == cli.EXIT_OK
-    rhs_calls = json.loads((tmp_path / "b_summary.json").read_text())["telemetry"]["rhs_calls"]
+    telemetry = json.loads((tmp_path / "b_summary.json").read_text())["telemetry"]
+    rhs_calls = telemetry["rhs_calls"]
     assert len(rho11) == rhs_calls > 0
     assert len(writes) == 1
+    assert len(steps) == telemetry["accepted_steps"] + telemetry["rejected_steps"] > 0
+    assert len(step_fields) == rhs_calls - 1

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import (
     FORM_PAIRING_CONSTANT,
+    NotTwoStepError,
     abelian,
+    bismut_scalar,
     bismut_scalar_pairing_check,
     is_real,
     iwasawa_like,
@@ -11,18 +13,16 @@ from conftest import (
     random_pd_metric,
     real_matrix,
     reality_defect,
+    rho_B_2step,
 )
 from pluriflow import catalog
-from pluriflow.errors import NotTwoStepError
 from pluriflow.bismut_ricci import (
-    bismut_scalar,
     eta,
     p_of_bracket,
     p_of_metric,
     rho11_matrix,
     rho20_matrix,
     rho_B,
-    rho_B_2step,
     static_defect,
 )
 from pluriflow.flows import _bracket_field, _metric_field, delta_mu

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    count_calls,
     count_defects,
     explicit_algebra,
     export_config,
@@ -20,6 +22,7 @@ from conftest import (
 )
 import pluriflow
 from pluriflow import catalog, cli, flows
+from pluriflow.hermitian_forms import ClosednessReport
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -316,18 +319,36 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_summary_is_strict_json_with_non_finite_values(tmp_path):
+def _hs_cfg(out, seed):
+    return {"algebra": {"catalog": "solvable_2414"}, "flow": "hs", "seed": seed,
+            "integrator": {"dt": 1e-2, "t_end": 1.0, "sample_every": 10},
+            "output": {"directory": str(out), "prefix": "huge"}}
+
+
+_SEED_METRIC = [[[1.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [1.0, 0.0]]]
+
+
+def test_summary_is_strict_json_with_non_finite_values(tmp_path, monkeypatch):
+    # the seed's closedness report and the flow are replaced by ones that carry
+    # NaN and inf, so every non-finite value reaches the summary through `run`
+    nan = float("nan")
+
+    def nan_closedness(mu, Omega):
+        return ClosednessReport(defect=nan, mixed_residual=nan, pure_residual=nan)
+
+    def overflowed_hs_flow(mu, Omega, cfg):
+        traj = flows.FlowTrajectory(kind="hs", termination="step_rejected")
+        beta = np.array([[0.0, np.inf], [-np.inf, 0.0]], dtype=complex)
+        margin = Omega.omega.min_eigenvalue()
+        traj.record(0.0, flows.MetricState(Omega.omega, beta),
+                    {"min_eigenvalue": margin, "closedness_defect": nan,
+                     "closedness_drift": nan, "taming_margin": margin})
+        return traj
+
+    monkeypatch.setattr(cli, "closedness_defect", nan_closedness)
+    monkeypatch.setattr(cli, "hs_flow", overflowed_hs_flow)
     out = tmp_path / "out"
-    huge = [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
-    cfg = {
-        "algebra": {"catalog": "solvable_2414"},
-        "flow": "hs",
-        "seed": {"metric": [[[1.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [1.0, 0.0]]], "beta": huge},
-        "integrator": {"dt": 1e-2, "t_end": 1.0, "sample_every": 10},
-        "output": {"directory": str(out), "prefix": "huge"},
-    }
+    cfg = _hs_cfg(out, {"metric": _SEED_METRIC})
     assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_INTEGRATOR
     summary = json.loads((out / "huge_summary.json").read_text(), parse_constant=_reject_constant)
     assert summary["termination"] == "step_rejected"
@@ -336,6 +357,22 @@ def test_summary_is_strict_json_with_non_finite_values(tmp_path):
     assert summary["final_state"]["beta_1_re"] == "inf"
     assert summary["final_state"]["beta_2_re"] == "-inf"
     assert summary["monitor_max"]["min_eigenvalue"] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_overflowing_beta_seed_exits_validation(tmp_path, monkeypatch, capsys, verb):
+    # beta is finite, but its antisymmetric part 0.5 * (beta - beta^T) overflows
+    flow_calls = count_calls(monkeypatch, "hs_flow", cli)
+    out = tmp_path / "out"
+    huge = [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]]
+    cfg = _hs_cfg(out, {"metric": _SEED_METRIC, "beta": huge})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([verb, write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "finite" in err and "Traceback" not in err
+    assert not flow_calls
+    assert not (out / "huge_trajectory.csv").exists() and not (out / "huge_summary.json").exists()
 
 
 def _non_finite_config(case):

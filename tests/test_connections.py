@@ -4,25 +4,27 @@ import numpy as np
 import pytest
 
 from conftest import (
+    NotTwoStepError,
     abelian,
     count_defects,
+    eberlein_oracle,
     einsum_bismut,
     einsum_bismut_residuals,
     einsum_curvature,
     einsum_levi_civita,
     einsum_ricci_traces,
     generic_integrable_bracket,
+    gram_orthonormal,
     non_integrable_bracket,
     one_one_part,
     random_pd_metric,
     torsion_tensor,
 )
 from pluriflow import catalog, connections
-from pluriflow.errors import IntegrabilityError, NotTwoStepError, ValidationError
+from pluriflow.errors import IntegrabilityError, ValidationError
 from pluriflow.connections import (
     bismut,
     curvature,
-    eberlein_oracle,
     levi_civita,
     ricci_forms,
 )
@@ -175,7 +177,6 @@ def test_ricci_relation_eq_torsion(rng):
 
 
 def _perp_projector(mu, g):
-    from pluriflow.connections import _gram_orthonormal
     from pluriflow.lie_core import center
 
     gram = gram_real(g)
@@ -183,7 +184,7 @@ def _perp_projector(mu, g):
     _, Sinv, _, _ = adapted_frame(mu.n)
     rc = Sinv @ xi.basis
     cand = np.concatenate([rc.real, rc.imag], axis=1)
-    Z = _gram_orthonormal(cand, gram)
+    Z = gram_orthonormal(cand, gram)
     return np.eye(2 * mu.n) - Z @ (Z.T @ gram)
 
 

@@ -4,14 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import abelian, count_defects, non_integrable_bracket, random_pd_metric
-from pluriflow import catalog, flows
-from pluriflow.errors import (
-    GridMismatchError,
-    IntegrabilityError,
+from conftest import (
     StepRejectedError,
-    ValidationError,
+    abelian,
+    count_defects,
+    non_integrable_bracket,
+    random_pd_metric,
+    rk4_doubling_step,
 )
+from pluriflow import catalog, flows
+from pluriflow.errors import GridMismatchError, IntegrabilityError, ValidationError
 from pluriflow.flows import (
     IntegratorConfig,
     backward_existence_probe,
@@ -31,10 +33,10 @@ from pluriflow.lie_core import bracket_norm_sq, symmetrize_bracket
 
 
 def fixed_step_run(field, y0, project, dt, nsteps, error_target=1e-9):
-    """States after each of nsteps fixed steps of the RK4 step-doubling ``step``."""
+    """States after each of nsteps fixed steps of the RK4 step-doubling reference."""
     ys = [y0]
     for _ in range(nsteps):
-        ys.append(project(step(field, ys[-1], dt, error_target)))
+        ys.append(project(rk4_doubling_step(field, ys[-1], dt, error_target)))
     return ys
 
 
@@ -69,7 +71,7 @@ def _symmetrize_flat(n):
 
 def test_step_zero_field_identity():
     y = np.array([1.0 + 2.0j, -0.5])
-    out = step(lambda v: np.zeros_like(v), y, 0.1)
+    out = rk4_doubling_step(lambda v: np.zeros_like(v), y, 0.1)
     assert np.array_equal(out, y)
 
 
@@ -81,7 +83,7 @@ def test_step_scalar_sqrt_law_order():
         f = lambda v: 1.0 / (2.0 * v)
         t = 0.0
         while t < 1.0 - 1e-12:
-            y = step(f, y, dt, error_target=1.0)  # force plain accept
+            y = rk4_doubling_step(f, y, dt, error_target=1.0)  # force plain accept
             t += dt
         return abs(y[0] - np.sqrt(2.0))
 
@@ -110,7 +112,7 @@ def test_step_shares_first_evaluation_bitwise(heisenberg):
     y = np.array([[1.3, 0.2 - 0.4j], [0.2 + 0.4j, 0.8]], dtype=complex).reshape(-1)
     for dt in (1e-3, 1e-2):
         calls.clear()
-        out = step(f, y, dt)
+        out = rk4_doubling_step(f, y, dt)
         assert len(calls) == 11
         assert np.array_equal(out, rk4(rk4(y, 0.5 * dt), 0.5 * dt))
 
@@ -120,7 +122,51 @@ def test_step_rejects_on_singularity():
     y = np.array([0.05 + 0j])
     with pytest.raises(StepRejectedError):
         for _ in range(100):
-            y = step(f, y, 0.05, error_target=1e-12, max_halvings=4)
+            y = rk4_doubling_step(f, y, 0.05, error_target=1e-12, max_halvings=4)
+
+
+def _identity(v):
+    return v
+
+
+def test_step_is_dormand_prince_on_linear_field():
+    # on y' = lam y one trial step multiplies y by the stability polynomial of
+    # Dormand-Prince 5(4) at z = h lam, in 6 field calls, and hands back
+    # f(y_new) as the next step's first stage
+    lam = np.array([-1.3 + 0.4j, 0.7, -2.0j, -5.0])
+    calls = []
+
+    def f(v):
+        calls.append(1)
+        return lam * v
+
+    y = np.array([1.0 + 0.5j, -0.3, 2.0, 0.8])
+    for h in (0.2, 0.05, 0.0125):
+        z = h * lam
+        R = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24 + z ** 5 / 120 + z ** 6 / 600
+        k1 = lam * y
+        calls.clear()
+        y_new, k_new, err = step(f, y, h, k1, _identity)
+        assert len(calls) == 6
+        assert np.abs(y_new - R * y).max() <= 1e-15
+        assert np.array_equal(k_new, lam * y_new)
+        assert 0.0 < err < np.inf
+
+
+def test_step_zero_field_returns_state_with_zero_error():
+    y = np.array([1.0 + 2.0j, -0.5])
+    zero = np.zeros_like(y)
+    y_new, k_new, err = step(lambda v: np.zeros_like(v), y, 0.1, zero, _identity)
+    assert np.array_equal(y_new, y) and np.array_equal(k_new, zero) and err == 0.0
+
+
+def test_step_error_estimate_is_fifth_order():
+    # the embedded estimate is the local error of the 4th-order solution, O(h^5)
+    f = lambda v: 1.0 / (2.0 * v)
+    y = np.array([1.0 + 0j])
+    errs = [step(f, y, h, f(y), _identity)[2] for h in (0.1, 0.05, 0.025)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 28.0 < coarse / fine < 38.0
 
 
 @pytest.mark.parametrize("settings", [
