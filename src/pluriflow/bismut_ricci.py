@@ -1,6 +1,6 @@
 """Bismut Ricci form via the 1-form eta, and the derived endomorphisms.
 
-The canonical computation path is rho_B = d_mu(eta) with
+The Bismut Ricci form is rho_B = d_mu(eta) with
 
     eta_a = -i g^{kbar r} g(mu(Z_a, Z_r), Z_kbar)
             + i g^{kbar r} g(mu(Z_r, Z_kbar), Z_a),
@@ -10,9 +10,10 @@ where g^{kbar r} is the inverse metric entry with barred row index.  The
 first sum collapses to -i mu_{ar}^r independently of the metric.
 
 On raw arrays, ``rho_tensor`` is the one place where eta meets the bracket:
-rho[a, b] = -mu_ab^c eta_c.  ``rho11_matrix`` and ``rho20_matrix`` are its
-(1,1) and (2,0) blocks, and the right-hand sides of all three flows in
-``flows`` are read off these.  The evolution contract everywhere in this
+rho[a, b] = -mu_ab^c eta_c, the contraction d_mu(eta) reduces to on a
+1-form.  ``rho_B`` wraps it as a form, ``rho11_matrix`` and ``rho20_matrix``
+are its (1,1) and (2,0) blocks, and the right-hand sides of all three flows
+in ``flows`` are read off it.  The evolution contract everywhere in this
 package is dg/dt = -(rho_B)^{1,1} in coefficient form, with the sign
 anchored by the Heisenberg example where the standard metric grows like
 sqrt(1 + t).
@@ -28,7 +29,6 @@ from .errors import ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
-    d_mu,
     fundamental_form,
     require_integrable,
 )
@@ -104,8 +104,9 @@ def eta(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
 
 
 def rho_B(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
-    """Bismut Ricci form, canonical path d_mu(eta)."""
-    return d_mu(mu, eta(mu, g))
+    """Bismut Ricci form d_mu(eta), as ``rho_tensor``."""
+    require_integrable(mu)
+    return InvariantForm(rho_tensor(mu.coeffs, g.matrix), mu.n, validate=False)
 
 
 def p_of_bracket(mu: LieBracket) -> Endomorphism:

@@ -16,12 +16,14 @@ So ric[X, Y] = R[k, X, k, Y] and rho[X, Y] = R[X, Y, m, k] J[m, k] / 2 on
 the curvature coefficients R[i, j, m, l] (the E_m component of
 R(E_i, E_j) E_l).
 
-The public entries check their input (``require_integrable`` and
-``require_jacobi``, which read the bracket's cached defects) and hand the
-real structure constants and Gram matrix to private kernels, so
-``ricci_forms`` builds one Levi-Civita connection for both curvatures; the
-Bismut residuals are judged against ``BISMUT_TOL``.  The kernels contract
-by matrix products and ``tensordot``: the Koszul terms are transposes of one
+The public functions are the kernels, and ``ricci_forms`` is composed from
+them.  ``levi_civita`` and ``bismut`` check their bracket
+(``require_jacobi`` and ``require_integrable`` read its cached defects; its
+real structure constants are cached too).  ``bismut`` builds the Levi-Civita
+connection by calling ``levi_civita``, so ``ricci_forms`` builds it twice:
+once inside ``bismut`` and once for its own curvature.  The Bismut
+residuals are judged against ``BISMUT_TOL``.  The kernels contract by
+matrix products and ``tensordot``: the Koszul terms are transposes of one
 product, each curvature is two products, and no einsum path search runs per
 call.
 """
@@ -95,33 +97,25 @@ class RicciData(NamedTuple):
 def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
     """Koszul formula for left-invariant metrics:
 
-    2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y).
+    2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y),
+
+    from one product X[i, j, k] = g(mu(E_i, E_j), E_k): the three terms are
+    X, X[j, k, i] and X[k, i, j].
     """
-    c, gram, graminv = _checked_real_data(mu, g)
-    return Connection(coeffs=_koszul(c, gram, graminv), metric_compatible=True, j_parallel=False)
+    require_jacobi(mu)
+    c = mu.real_structure()
+    gram = gram_real(g)
+    m = c.shape[0]
+    X = (c.reshape(m * m, m) @ gram).reshape(m, m, m)
+    rhs = 0.5 * (X - X.transpose(2, 0, 1) + X.transpose(1, 2, 0))
+    return Connection(coeffs=rhs @ np.linalg.inv(gram).T, metric_compatible=True,
+                      j_parallel=False)
 
 
 def require_jacobi(mu: LieBracket) -> None:
     """Raise unless the bracket's (cached) Jacobi defect is within JACOBI_TOL."""
     if mu.jacobi > JACOBI_TOL:
         raise ValidationError(f"bracket violates the Jacobi identity (defect {mu.jacobi:.3e})")
-
-
-def _checked_real_data(mu: LieBracket, g: HermitianMetric):
-    """The Jacobi check of every public entry, then the real structure
-    constants, the real Gram matrix and its inverse that the kernels share."""
-    require_jacobi(mu)
-    gram = gram_real(g)
-    return mu.real_structure(), gram, np.linalg.inv(gram)
-
-
-def _koszul(c: np.ndarray, gram: np.ndarray, graminv: np.ndarray) -> np.ndarray:
-    """Levi-Civita coefficients from one product X[i, j, k] = g(mu(E_i, E_j), E_k):
-    the three Koszul terms are X, X[j, k, i] and X[k, i, j]."""
-    m = c.shape[0]
-    X = (c.reshape(m * m, m) @ gram).reshape(m, m, m)
-    rhs = 0.5 * (X - X.transpose(2, 0, 1) + X.transpose(1, 2, 0))
-    return rhs @ graminv.T
 
 
 def torsion_three_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
@@ -133,27 +127,23 @@ def torsion_three_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
 
 
 def bismut(mu: LieBracket, g: HermitianMetric):
-    """Bismut connection and its torsion 3-form.
+    """Bismut connection ``levi_civita(mu, g)`` + (1/2) g^{-1} c and its torsion 3-form.
 
     Returns (Connection, c).  Raises if the defining residuals (metric
     compatibility, J-parallelism, total skewness of the torsion) exceed
     tolerance, which catches convention errors early.
     """
     require_integrable(mu)
-    c, gram, graminv = _checked_real_data(mu, g)
-    return _bismut(mu, g, _koszul(c, gram, graminv), c, gram, graminv)
-
-
-def _bismut(mu: LieBracket, g: HermitianMetric, lc: np.ndarray, c: np.ndarray,
-            gram: np.ndarray, graminv: np.ndarray):
-    """``bismut`` on checked data, from the Levi-Civita coefficients ``lc``."""
+    lc = levi_civita(mu, g).coeffs
+    c = mu.real_structure()
+    gram = gram_real(g)
     c_form = torsion_three_form(mu, g)
     S, _, J_real, _ = adapted_frame(mu.n)
     c_real_t = transform_form(c_form.tensor, S)
     if np.abs(c_real_t.imag).max() > TORSION_REALITY_TOL * max(np.abs(c_real_t).max(), 1.0):
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
-    gamma = lc + 0.5 * (c_real @ graminv.T)
+    gamma = lc + 0.5 * (c_real @ np.linalg.inv(gram).T)
     conn = Connection(coeffs=gamma, metric_compatible=True, j_parallel=True)
 
     scale = max(np.abs(gamma).max(), 1.0)
@@ -170,35 +160,28 @@ def _bismut(mu: LieBracket, g: HermitianMetric, lc: np.ndarray, c: np.ndarray,
 
 
 def curvature(conn: Connection, mu: LieBracket) -> CurvatureTensor:
-    """R(X, Y) = [nabla_X, nabla_Y] - nabla_{mu(X, Y)} on the real basis."""
-    return CurvatureTensor(coeffs=_curvature(conn.matrices(), mu.real_structure()))
-
-
-def _curvature(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``curvature`` as two products: (mats[i] @ mats[j])[a, c] for every (i, j),
-    and sum_k c[i, j, k] mats[k]."""
+    """R(X, Y) = [nabla_X, nabla_Y] - nabla_{mu(X, Y)} on the real basis, as two
+    products: (mats[i] @ mats[j])[a, c] for every (i, j), and sum_k c[i, j, k] mats[k]."""
+    mats = conn.matrices()
+    c = mu.real_structure()
     m = c.shape[0]
     prod = mats.reshape(m * m, m) @ mats.transpose(1, 0, 2).reshape(m, m * m)
     comm = prod.reshape(m, m, m, m).transpose(0, 2, 1, 3)
     lower = (c.reshape(m * m, m) @ mats.reshape(m, m * m)).reshape(m, m, m, m)
-    return comm - comm.transpose(1, 0, 2, 3) - lower
+    return CurvatureTensor(coeffs=comm - comm.transpose(1, 0, 2, 3) - lower)
 
 
 def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     """Ricci tensors of both connections plus the trace-path Bismut Ricci form
     and the Chern Ricci form rho_C = rho_B + d d* omega.
 
-    The bracket is checked as in ``levi_civita`` and ``bismut``, and one
-    Levi-Civita connection serves both curvatures.
+    ``bismut`` checks the bracket.  The Levi-Civita connection is built
+    twice: inside ``bismut``, and for the Levi-Civita curvature.
     """
-    require_integrable(mu)
-    c, gram, graminv = _checked_real_data(mu, g)
+    bc, _ = bismut(mu, g)
+    Rg = curvature(levi_civita(mu, g), mu).coeffs
+    Rb = curvature(bc, mu).coeffs
     _, Sinv, J_real, _ = adapted_frame(mu.n)
-
-    lc = _koszul(c, gram, graminv)
-    bc, _ = _bismut(mu, g, lc, c, gram, graminv)
-    Rg = _curvature(lc.transpose(0, 2, 1), c)
-    Rb = _curvature(bc.matrices(), c)
 
     ric_g = np.trace(Rg, axis1=0, axis2=2)
     ric_b = np.trace(Rb, axis1=0, axis2=2)

@@ -459,7 +459,7 @@ def backward_existence_probe(mu0: LieBracket, g0: HermitianMetric,
     strictly positive empirical lower bound for the backward existence time.
     """
     traj = pluriclosed_flow(mu0, g0, cfg, direction=-1.0)
-    return float(traj.times[-1]) if traj.times else 0.0
+    return float(traj.times[-1])
 
 
 @dataclass

@@ -13,7 +13,8 @@ A bracket mu is a dense complex tensor ``coeffs`` of shape (2n, 2n, 2n):
 Stored tensors are antisymmetric in (A, B) and satisfy the reality
 symmetry conj(coeffs[A, B, C]) = coeffs[bar A, bar B, bar C].  A bracket
 owns a read-only copy of its coefficients, so it is judged once per object:
-its ``jacobi`` and ``nijenhuis`` defects are computed on first use and kept.
+its ``jacobi`` and ``nijenhuis`` defects and its real structure constants
+are computed on first use and kept.
 Construction checks only the symmetries; the checks that read the defects
 (``hermitian_forms.require_integrable``, ``connections.require_jacobi`` and
 ``CatalogEntry``) run where a bracket enters.
@@ -109,7 +110,7 @@ def symmetrize_bracket(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Judgement(cached_property):
-    """A cached defect of a bracket; it follows from the coefficients, so it cannot be set."""
+    """A cached value of a bracket; it follows from the coefficients, so it cannot be set."""
 
     def __set__(self, instance, value):
         raise AttributeError(f"{self.attrname} is computed from the coefficients")
@@ -152,12 +153,19 @@ class LieBracket:
         return nijenhuis_defect(self)
 
     def real_structure(self) -> np.ndarray:
-        """Structure constants over the real adapted basis, shape (2n, 2n, 2n)."""
+        """Structure constants over the real adapted basis, shape (2n, 2n, 2n),
+        computed once and shared read-only."""
+        return self._real
+
+    @_Judgement
+    def _real(self) -> np.ndarray:
         S, Sinv, _, _ = adapted_frame(self.n)
         c = change_frame(self.coeffs, S, Sinv)
         if np.abs(c.imag).max() > SYMMETRY_TOL * max(np.abs(c).max(), 1.0):
             raise ValidationError("real structure constants have a large imaginary part")
-        return c.real.copy()
+        c = c.real.copy()
+        c.setflags(write=False)
+        return c
 
     def __repr__(self) -> str:
         nz = int(np.count_nonzero(np.abs(self.coeffs) > 1e-14))
@@ -348,7 +356,7 @@ def export_real_structure(mu: LieBracket):
     Round-trips to rounding through ``from_real_structure``.
     """
     _, Sinv, J_real, _ = adapted_frame(mu.n)
-    return mu.real_structure(), J_real.copy(), Sinv[:, : mu.n].copy()
+    return mu.real_structure().copy(), J_real.copy(), Sinv[:, : mu.n].copy()
 
 
 def _qr_pivoted(a: np.ndarray):

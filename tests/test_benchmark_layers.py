@@ -5,8 +5,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from conftest import count_calls
-from pluriflow import cli, flows
+from pluriflow import bismut_ricci, catalog, cli, connections, flows
+from pluriflow.hermitian_forms import HermitianMetric
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,3 +59,20 @@ def test_traced_layers_see_a_bracket_run(monkeypatch, tmp_path):
     assert len(writes) == 1
     assert len(steps) == telemetry["accepted_steps"] + telemetry["rejected_steps"] > 0
     assert len(step_fields) == rhs_calls - 1
+
+
+def test_traced_layers_see_a_curvature_run(monkeypatch):
+    # ricci_forms is composed from the public connection functions, and rho_B
+    # from the eta kernel, so the static_ricci layers read what it runs
+    layers = _load_tracing().LAYERS
+    assert {"levi_civita", "bismut", "curvature"} <= set(layers["connections"])
+    assert {"eta_components", "rho_B"} <= set(layers["bismut_ricci"])
+    calls = {name: count_calls(monkeypatch, name, connections)
+             for name in ("levi_civita", "bismut", "curvature")}
+    etas = count_calls(monkeypatch, "eta_components", bismut_ricci)
+    mu, g = catalog.random_2step_skt(3, 1).bracket, HermitianMetric(np.eye(3))
+    connections.ricci_forms(mu, g)
+    bismut_ricci.rho_B(mu, g)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "levi_civita": 2, "bismut": 1, "curvature": 2}
+    assert len(etas) >= 1

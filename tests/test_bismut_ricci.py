@@ -7,6 +7,7 @@ from conftest import (
     abelian,
     bismut_scalar,
     bismut_scalar_pairing_check,
+    generic_integrable_bracket,
     is_real,
     iwasawa_like,
     p_annihilates_center_defect,
@@ -100,6 +101,18 @@ def test_rho_closed_and_real(rng):
         assert d_mu(entry.bracket, r).max_norm() < 1e-13
 
 
+def test_rho_B_equals_d_of_eta(rng):
+    # rho_B is the raw-array kernel rho_tensor; d_mu(eta) gives the same values
+    # (exact zeros may differ in sign)
+    brackets = [catalog.get(name).bracket for name in ("heisenberg_kt", "inoue_s0", "solvable_2414")]
+    for n in (2, 3, 4, 5):
+        brackets += [catalog.torus(n).bracket, catalog.random_2step_skt(n, n).bracket,
+                     generic_integrable_bracket(rng, n)]
+    for mu in brackets:
+        for g in (HermitianMetric(np.eye(mu.n)), random_pd_metric(rng, mu.n)):
+            assert np.array_equal(rho_B(mu, g).tensor, d_mu(mu, eta(mu, g)).tensor)
+
+
 def test_rho_component_formula_cross_check(rng, heisenberg):
     # rho_{i jbar} = -i sum_A mu(Z_i, Z_jbar)^A eta_A, expanded in components
     mu = heisenberg.bracket
@@ -112,8 +125,8 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
             val = -1j * np.dot(mu.coeffs[i, n + j, :], e)
             assert val == pytest.approx(r[i, j], rel=1e-12, abs=1e-14)
 
-    # rho11_matrix, rho20_matrix and the three flow fields are blocks of the
-    # canonical rho_B = d_mu(eta), at the identity and at a random metric
+    # rho11_matrix, rho20_matrix and the three flow fields are blocks of
+    # rho_B = d_mu(eta), at the identity and at a random metric
     cases = [catalog.inoue_s0(), catalog.solvable_2414()]
     cases += [catalog.random_2step_skt(n, n) for n in (2, 3, 4, 5)]
     for mu in (entry.bracket for entry in cases):
@@ -121,7 +134,7 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
         g0 = HermitianMetric(np.eye(n))
         for g in (g0, random_pd_metric(rng, n)):
             G = g.matrix
-            T = rho_B(mu, g).tensor
+            T = d_mu(mu, eta(mu, g)).tensor
             rho11 = 1j * T[:n, n:]
             tol = 1e-13 * np.abs(c).max() * np.abs(eta(mu, g).tensor).max()
             assert np.abs(rho11_matrix(c, G) - rho11).max() <= tol
@@ -132,7 +145,7 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
             assert np.abs(hs[:n * n] + rho11.reshape(-1)).max() <= tol
             assert np.abs(hs[n * n:] + T[:n, :n].reshape(-1)).max() <= tol
         # the bracket field reads P_mu off rho_B at the standard metric
-        P = (1j * rho_B(mu, g0).tensor[:n, n:]).T
+        P = (1j * d_mu(mu, eta(mu, g0)).tensor[:n, n:]).T
         tol = 1e-13 * np.abs(c).max() * np.abs(eta(mu, g0).tensor).max()
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         out = _bracket_field(n, True)(np.concatenate([c.reshape(-1), h.reshape(-1)]))

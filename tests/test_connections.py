@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     NotTwoStepError,
     abelian,
+    count_calls,
     count_defects,
     eberlein_oracle,
     einsum_bismut,
@@ -20,9 +21,10 @@ from conftest import (
     random_pd_metric,
     torsion_tensor,
 )
-from pluriflow import catalog, connections
+from pluriflow import catalog, connections, lie_core
 from pluriflow.errors import IntegrabilityError, ValidationError
 from pluriflow.connections import (
+    Connection,
     bismut,
     curvature,
     levi_civita,
@@ -37,7 +39,7 @@ from pluriflow.hermitian_forms import (
     transform_form,
 )
 from pluriflow.bismut_ricci import rho_B
-from pluriflow.lie_core import LieBracket, adapted_frame
+from pluriflow.lie_core import LieBracket, adapted_frame, export_real_structure, nilpotency_step
 
 
 def test_levi_civita_abelian_zero(rng):
@@ -334,23 +336,24 @@ def test_curvature_path_matches_einsum_oracles(n):
         _assert_close(data.rho_c.tensor, rho_b + ddstar, scale=np.abs(rho_b).max())
 
 
-def test_bismut_residuals_match_einsum_oracle(rng):
+def test_bismut_residuals_match_einsum_oracle(monkeypatch, rng):
     # a perturbed Levi-Civita connection breaks all three defining properties;
-    # the kernel's residuals, as it reports them, are the oracle's
+    # ``bismut`` builds on whatever ``levi_civita`` returns, and the residuals
+    # it reports are the oracle's
     for entry in (catalog.inoue_s0(1.0, 1.0), catalog.random_2step_skt(3, 0)):
         mu = entry.bracket
         g = random_pd_metric(rng, mu.n)
-        gram = gram_real(g)
-        c = mu.real_structure()
         conn, c_form = bismut(mu, g)
         assert max(einsum_bismut_residuals(mu, g, conn.coeffs, c_form)) < 1e-12
-        kick = 1e-3 * rng.standard_normal(c.shape)
+        kick = 1e-3 * rng.standard_normal(conn.coeffs.shape)
         compat, jres, skew = einsum_bismut_residuals(
             mu, g, einsum_bismut(mu, g, c_form) + kick, c_form)
         message = f"compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e}"
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            connections._bismut(mu, g, einsum_levi_civita(mu, g) + kick, c, gram,
-                                np.linalg.inv(gram))
+        kicked = Connection(einsum_levi_civita(mu, g) + kick)
+        with monkeypatch.context() as m:
+            m.setattr(connections, "levi_civita", lambda *_: kicked)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                bismut(mu, g)
 
 
 def test_ricci_forms_checks_its_bracket_once(monkeypatch, rng):
@@ -366,6 +369,21 @@ def test_ricci_forms_checks_its_bracket_once(monkeypatch, rng):
         ricci_forms(fresh, g)
         ricci_forms(fresh, g)
         assert (len(jacobi), len(nijenhuis)) == (1, 1)
+
+
+def test_real_structure_is_built_once_per_bracket(monkeypatch, rng):
+    frames = count_calls(monkeypatch, "change_frame", lie_core)
+    for n in (2, 5):
+        mu, g = LieBracket(catalog.random_2step_skt(n, 1).bracket.coeffs), random_pd_metric(rng, n)
+        frames.clear()
+        ricci_forms(mu, g)
+        curvature(levi_civita(mu, g), mu)
+        nilpotency_step(mu)
+        assert len(frames) == 1
+        c = mu.real_structure()
+        assert not c.flags.writeable and mu.real_structure() is c
+        exported = export_real_structure(mu)[0]
+        assert exported.flags.writeable and np.array_equal(exported, c)
 
 
 def test_ricci_forms_error_paths(rng):

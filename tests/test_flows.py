@@ -29,7 +29,7 @@ from pluriflow.flows import (
     _metric_field,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm, require_integrable, skt_defect
-from pluriflow.lie_core import bracket_norm_sq, symmetrize_bracket
+from pluriflow.lie_core import act, bracket_norm_sq, symmetrize_bracket
 
 
 def fixed_step_run(field, y0, project, dt, nsteps, error_target=1e-9):
@@ -558,3 +558,56 @@ def test_monitor_max_propagates_nan():
     assert np.isnan(traj.monitor_max("a")) and np.isnan(traj.monitor_max("b"))
     assert traj.monitor_max("c") == 2.0
     assert np.isnan(traj.monitor_max("missing"))
+
+
+# Symmetries of the flows, judged through the whole driver (field, projection,
+# step controller, sampling) with no reference solution.  Scaling by a power
+# of two is exact in floating point, and the relative error control then
+# takes the same steps, so the scaled runs agree bit for bit.
+
+_SYMMETRY_CFG = dict(dt=1e-2, t_end=1.0, sample_every=10)
+
+
+def test_bracket_flow_scaling_is_bit_exact():
+    # the bracket field is cubic, so the flow from 2 mu0 is 2 mu(4 t)
+    mu0 = catalog.random_2step_skt(3, 2).bracket
+    ref = bracket_flow(mu0, IntegratorConfig(**_SYMMETRY_CFG))
+    scaled_cfg = IntegratorConfig(**{**_SYMMETRY_CFG, "dt": 1e-2 / 4, "t_end": 1.0 / 4})
+    scaled = bracket_flow(act(np.eye(3) / 2, mu0), scaled_cfg)
+    assert scaled.stats == ref.stats
+    assert scaled.times == [t / 4 for t in ref.times]
+    for a, b in zip(scaled.states, ref.states):
+        assert np.array_equal(a.mu.coeffs, 2 * b.mu.coeffs)
+    # a factor of 3 is not exact in floating point, so it holds to rounding
+    third_cfg = IntegratorConfig(**{**_SYMMETRY_CFG, "dt": 1e-2 / 9, "t_end": 1.0 / 9})
+    third = bracket_flow(act(np.eye(3) / 3, mu0), third_cfg)
+    assert np.allclose(third.times, [t / 9 for t in ref.times], rtol=1e-14, atol=0.0)
+    scale = 3 * np.abs(mu0.coeffs).max()
+    for a, b in zip(third.states, ref.states):
+        assert np.abs(a.mu.coeffs - 3 * b.mu.coeffs).max() <= 1e-14 * scale
+
+
+def test_pluriclosed_flow_scaling_is_bit_exact(rng):
+    # rho_B is invariant under g -> 2 g, so the flow from 2 g0 is 2 g(t / 2)
+    mu0 = catalog.random_2step_skt(3, 2).bracket
+    g0 = random_pd_metric(rng, 3)
+    ref = pluriclosed_flow(mu0, g0, IntegratorConfig(**_SYMMETRY_CFG))
+    scaled_cfg = IntegratorConfig(**{**_SYMMETRY_CFG, "dt": 2e-2, "t_end": 2.0})
+    scaled = pluriclosed_flow(mu0, HermitianMetric(2 * g0.matrix), scaled_cfg)
+    assert scaled.stats == ref.stats
+    assert scaled.times == [2 * t for t in ref.times]
+    for a, b in zip(scaled.states, ref.states):
+        assert np.array_equal(a.g.matrix, 2 * b.g.matrix)
+
+
+def test_bracket_flow_is_unitarily_equivariant(rng):
+    # the flow from k . mu0 is k . mu(t) for unitary k, up to rounding
+    mu0 = catalog.random_2step_skt(3, 2).bracket
+    k, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    cfg = IntegratorConfig(**_SYMMETRY_CFG)
+    ref = bracket_flow(mu0, cfg)
+    moved = bracket_flow(act(k, mu0), cfg)
+    assert moved.stats == ref.stats and moved.times == ref.times
+    scale = np.abs(mu0.coeffs).max()
+    for a, b in zip(moved.states, ref.states):
+        assert np.abs(a.mu.coeffs - act(k, b.mu).coeffs).max() <= 1e-14 * scale
