@@ -13,7 +13,9 @@ On raw arrays, ``rho_tensor`` is the one place where eta meets the bracket:
 rho[a, b] = -mu_ab^c eta_c, the contraction d_mu(eta) reduces to on a
 1-form.  ``rho_B`` wraps it as a form, ``rho11_matrix`` and ``rho20_matrix``
 are its (1,1) and (2,0) blocks, and the right-hand sides of all three flows
-in ``flows`` are read off it.  The evolution contract everywhere in this
+in ``flows`` are read off it.  These raw-array kernels take G and G^-1
+and invert nothing: functions that hold a ``HermitianMetric`` pass its
+``matrix`` and ``inverse``.  The evolution contract everywhere in this
 package is dg/dt = -(rho_B)^{1,1} in coefficient form, with the sign
 anchored by the Heisenberg example where the standard metric grows like
 sqrt(1 + t).
@@ -57,56 +59,51 @@ class Endomorphism:
         return f"Endomorphism(n={self.n})"
 
 
-def eta_components(coeffs: np.ndarray, G: np.ndarray,
-                   Ginv: np.ndarray | None = None) -> np.ndarray:
+def eta_components(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
     """Holomorphic components eta_a of the Bismut 1-form, raw-array path.
 
-    Ginv is the inverse of G, inverted here when not given; a caller whose
-    metric does not change passes it once for all calls.
+    Takes G and its inverse Ginv; the kernel inverts nothing.
     """
     n = G.shape[0]
     trace = coeffs[:n, :n, :n].trace(axis1=1, axis2=2)   # mu_{ar}^r
     mixed = coeffs[:n, n:, n:].reshape(n * n, n)          # mu_{r kbar}^{lbar}, rows (r, k)
-    if Ginv is None:
-        Ginv = np.linalg.inv(G)
     t = Ginv.T.reshape(n * n) @ mixed                    # t_l = g^{kbar r} mu_{r kbar}^{lbar}
     return 1j * (G @ t - trace)
 
 
-def eta_vector(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray | None = None) -> np.ndarray:
+def eta_vector(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
     """Full 2n coefficient vector of eta (holomorphic half plus conjugates)."""
     h = eta_components(coeffs, G, Ginv)
     return np.concatenate([h, np.conj(h)])
 
 
-def rho_tensor(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray | None = None) -> np.ndarray:
+def rho_tensor(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
     """Dense 2-form tensor of rho_B = d(eta): rho[a, b] = -mu_ab^c eta_c."""
     return -(coeffs @ eta_vector(coeffs, G, Ginv))
 
 
-def rho11_matrix(coeffs: np.ndarray, G: np.ndarray,
-                 Ginv: np.ndarray | None = None) -> np.ndarray:
+def rho11_matrix(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
     """Coefficient matrix rho[i, j] with (rho_B)^{1,1} = -i rho[i, j] z^i w z^jbar."""
     n = G.shape[0]
     return 1j * rho_tensor(coeffs, G, Ginv)[:n, n:]
 
 
-def rho20_matrix(coeffs: np.ndarray, G: np.ndarray) -> np.ndarray:
+def rho20_matrix(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
     """Values rho_B(Z_i, Z_j) of the (2, 0) block."""
     n = G.shape[0]
-    return rho_tensor(coeffs, G)[:n, :n]
+    return rho_tensor(coeffs, G, Ginv)[:n, :n]
 
 
 def eta(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     """The real 1-form with rho_B = d(eta)."""
     require_integrable(mu)
-    return InvariantForm(eta_vector(mu.coeffs, g.matrix), mu.n, validate=False)
+    return InvariantForm(eta_vector(mu.coeffs, g.matrix, g.inverse), mu.n, validate=False)
 
 
 def rho_B(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     """Bismut Ricci form d_mu(eta), as ``rho_tensor``."""
     require_integrable(mu)
-    return InvariantForm(rho_tensor(mu.coeffs, g.matrix), mu.n, validate=False)
+    return InvariantForm(rho_tensor(mu.coeffs, g.matrix, g.inverse), mu.n, validate=False)
 
 
 def p_of_bracket(mu: LieBracket) -> Endomorphism:
@@ -119,9 +116,8 @@ def p_of_bracket(mu: LieBracket) -> Endomorphism:
 def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> Endomorphism:
     """Endomorphism P(omega) with omega(P X, Y) = (rho_B)^{1,1}(X, Y) for (mu0, g)."""
     require_integrable(mu0)
-    Ginv = np.linalg.inv(g.matrix)
-    rho = rho11_matrix(mu0.coeffs, g.matrix, Ginv)
-    return Endomorphism((rho @ Ginv).T)
+    rho = rho11_matrix(mu0.coeffs, g.matrix, g.inverse)
+    return Endomorphism((rho @ g.inverse).T)
 
 
 @dataclass

@@ -17,11 +17,11 @@ the curvature coefficients R[i, j, m, l] (the E_m component of
 R(E_i, E_j) E_l).
 
 The public functions are the kernels, and ``ricci_forms`` is composed from
-them.  ``levi_civita`` and ``bismut`` check their bracket
-(``require_jacobi`` and ``require_integrable`` read its cached defects; its
-real structure constants are cached too).  ``bismut`` builds the Levi-Civita
-connection by calling ``levi_civita``, so ``ricci_forms`` builds it twice:
-once inside ``bismut`` and once for its own curvature.  The Bismut
+them.  ``levi_civita`` and ``bismut`` check their bracket and read its
+cached defects and real structure constants; the real Gram matrix and its
+inverse come from the metric (``g.gram``, ``g.gram_inverse``).  ``bismut``
+calls ``levi_civita``, so ``ricci_forms`` builds the Levi-Civita connection
+twice, but the second build costs only the Koszul product.  The Bismut
 residuals are judged against ``BISMUT_TOL``.  The kernels contract by
 matrix products and ``tensordot``: the Koszul terms are transposes of one
 product, each curvature is two products, and no einsum path search runs per
@@ -42,7 +42,6 @@ from .hermitian_forms import (
     codifferential,
     d_mu,
     fundamental_form,
-    gram_real,
     require_integrable,
     transform_form,
 )
@@ -104,11 +103,10 @@ def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
     """
     require_jacobi(mu)
     c = mu.real_structure()
-    gram = gram_real(g)
     m = c.shape[0]
-    X = (c.reshape(m * m, m) @ gram).reshape(m, m, m)
+    X = (c.reshape(m * m, m) @ g.gram).reshape(m, m, m)
     rhs = 0.5 * (X - X.transpose(2, 0, 1) + X.transpose(1, 2, 0))
-    return Connection(coeffs=rhs @ np.linalg.inv(gram).T, metric_compatible=True,
+    return Connection(coeffs=rhs @ g.gram_inverse.T, metric_compatible=True,
                       j_parallel=False)
 
 
@@ -136,22 +134,21 @@ def bismut(mu: LieBracket, g: HermitianMetric):
     require_integrable(mu)
     lc = levi_civita(mu, g).coeffs
     c = mu.real_structure()
-    gram = gram_real(g)
     c_form = torsion_three_form(mu, g)
     S, _, J_real, _ = adapted_frame(mu.n)
     c_real_t = transform_form(c_form.tensor, S)
     if np.abs(c_real_t.imag).max() > TORSION_REALITY_TOL * max(np.abs(c_real_t).max(), 1.0):
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
-    gamma = lc + 0.5 * (c_real @ np.linalg.inv(gram).T)
+    gamma = lc + 0.5 * (c_real @ g.gram_inverse.T)
     conn = Connection(coeffs=gamma, metric_compatible=True, j_parallel=True)
 
     scale = max(np.abs(gamma).max(), 1.0)
     mats = conn.matrices()
-    compat = np.abs(mats.transpose(0, 2, 1) @ gram + gram @ mats).max()
+    compat = np.abs(mats.transpose(0, 2, 1) @ g.gram + g.gram @ mats).max()
     jres = np.abs(mats @ J_real - J_real @ mats).max()
     torsion = gamma - gamma.transpose(1, 0, 2) - c
-    skew = np.abs((torsion @ gram).transpose(2, 0, 1) - c_real).max()
+    skew = np.abs((torsion @ g.gram).transpose(2, 0, 1) - c_real).max()
     bound = BISMUT_TOL * scale
     if compat > bound or jres > bound or skew > bound:
         raise ValidationError(

@@ -44,7 +44,6 @@ import numpy as np
 from .errors import GridMismatchError, ValidationError
 from .hermitian_forms import (
     HermitianMetric,
-    InvariantForm,
     TamedForm,
     closedness_defect,
     codifferential,
@@ -53,7 +52,7 @@ from .hermitian_forms import (
     skt_defect,
     taming_margin,
 )
-from .bismut_ricci import p_of_bracket, p_of_metric, rho11_matrix, rho_tensor
+from .bismut_ricci import p_of_bracket, p_of_metric, rho11_matrix, rho_B, rho_tensor
 from .lie_core import (
     LieBracket,
     act,
@@ -97,8 +96,9 @@ class IntegratorConfig:
                 self.dt, self.t_end, self.positivity_floor, self.error_target)):
             raise ValidationError(
                 "dt, t_end, positivity_floor and error_target must be finite and positive")
-        if not (self.sample_every >= 1 and self.max_halvings >= 0):
-            raise ValidationError("sample_every must be >= 1 and max_halvings >= 0")
+        if not (type(self.sample_every) is type(self.max_halvings) is int
+                and self.sample_every >= 1 and self.max_halvings >= 0):
+            raise ValidationError("sample_every and max_halvings must be integers >= 1 and >= 0")
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and round(steps) >= 1
                 and abs(steps - round(steps)) <= 1e-9 * steps):
@@ -229,7 +229,8 @@ def _metric_field(mu: LieBracket, with_beta: bool) -> Callable:
     coeffs, n, nsq = mu.coeffs, mu.n, mu.n ** 2
 
     def f(y: np.ndarray) -> np.ndarray:
-        R = rho_tensor(coeffs, y[:nsq].reshape(n, n))
+        G = y[:nsq].reshape(n, n)
+        R = rho_tensor(coeffs, G, np.linalg.inv(G))
         dG = -(1j * R[:n, n:]).reshape(-1)
         return np.concatenate([dG, -R[:n, :n].reshape(-1)]) if with_beta else dG
 
@@ -279,8 +280,7 @@ def _metric_flow(kind: str, mu0: LieBracket, g0: HermitianMetric, beta0: np.ndar
 def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig,
                      direction: float = 1.0) -> FlowTrajectory:
     """Integrate dg/dt = -(rho_B)^{1,1} with the bracket held fixed."""
-    n = mu0.n
-    if g0.n != n:
+    if g0.n != mu0.n:
         raise ValidationError("metric dimension does not match the bracket")
     skt0 = skt_defect(mu0, g0)
     if skt0 > cfg.defect_tolerances["skt_defect"]:
@@ -292,8 +292,7 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
         ch = {"min_eigenvalue": g.min_eigenvalue(), "skt_defect": skt_defect(mu0, g)}
         if two_step:
             ddstar = d_mu(mu0, codifferential(mu0, g, fundamental_form(g)))
-            rho = InvariantForm(rho_tensor(mu0.coeffs, g.matrix), n, validate=False)
-            ch["reduction_defect"] = (rho + ddstar).bidegree_part(1, 1).max_norm()
+            ch["reduction_defect"] = (rho_B(mu0, g) + ddstar).bidegree_part(1, 1).max_norm()
         return ch
 
     return _metric_flow("pluriclosed", mu0, g0, None, channels, cfg, direction)

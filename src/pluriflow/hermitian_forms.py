@@ -45,6 +45,7 @@ import numpy as np
 from .errors import IntegrabilityError, ValidationError
 from .lie_core import (
     SYMMETRY_TOL,
+    Derived,
     LieBracket,
     adapted_frame,
     complexify,
@@ -73,6 +74,21 @@ class HermitianMetric:
         G.setflags(write=False)
         self.matrix = G
         self.n = G.shape[0]
+
+    @Derived
+    def inverse(self) -> np.ndarray:
+        """G^-1, the inverse metric g^{kbar r}."""
+        return np.linalg.inv(self.matrix)
+
+    @Derived
+    def gram(self) -> np.ndarray:
+        """``gram_real`` of this metric, the real Gram matrix."""
+        return gram_real(self)
+
+    @Derived
+    def gram_inverse(self) -> np.ndarray:
+        """Inverse of the real Gram matrix."""
+        return np.linalg.inv(self.gram)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())
@@ -299,7 +315,7 @@ def transform_form(T: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _slot_metric(g: HermitianMetric) -> np.ndarray:
     """K = diag(conj G^-1, G^-1), the metric g induces on each covector slot."""
-    return complexify(np.conj(np.linalg.inv(g.matrix)))
+    return complexify(np.conj(g.inverse))
 
 
 def form_inner(a: InvariantForm, b: InvariantForm, g: HermitianMetric) -> complex:
@@ -363,7 +379,7 @@ def skt_defect(mu: LieBracket, g: HermitianMetric) -> float:
     A = A.transpose(0, 2, 1, 3) - A.transpose(0, 2, 3, 1)
     E = ((A - A.transpose(1, 0, 2, 3)).reshape(nn, nn)
          - D.reshape(nn, n) @ coeffs[a, a, a].reshape(nn, n).T)
-    Ginv = np.linalg.inv(G)
+    Ginv = g.inverse
     K2 = (Ginv[:, None, :, None] * Ginv[None, :, None, :]).reshape(nn, nn)   # kron(Ginv, Ginv)
     return float(np.sqrt(np.vdot(E, K2.T.conj() @ E @ K2).real / 4))
 

@@ -109,11 +109,17 @@ def symmetrize_bracket(coeffs: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (T + conj_tensor(T, n))
 
 
-class _Judgement(cached_property):
-    """A cached value of a bracket; it follows from the coefficients, so it cannot be set."""
+class Derived(cached_property):
+    """A value computed once from an object's arrays; unsettable, and read-only if an array."""
+
+    def __get__(self, instance, owner=None):
+        value = super().__get__(instance, owner)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        return value
 
     def __set__(self, instance, value):
-        raise AttributeError(f"{self.attrname} is computed from the coefficients")
+        raise AttributeError(f"{self.attrname} is computed from the object's arrays")
 
 
 class LieBracket:
@@ -142,12 +148,12 @@ class LieBracket:
     def dim(self) -> int:
         return 2 * self.n
 
-    @_Judgement
+    @Derived
     def jacobi(self) -> float:
         """``jacobi_defect`` of this bracket, computed once."""
         return jacobi_defect(self)
 
-    @_Judgement
+    @Derived
     def nijenhuis(self) -> float:
         """``nijenhuis_defect`` of this bracket, computed once."""
         return nijenhuis_defect(self)
@@ -157,15 +163,13 @@ class LieBracket:
         computed once and shared read-only."""
         return self._real
 
-    @_Judgement
+    @Derived
     def _real(self) -> np.ndarray:
         S, Sinv, _, _ = adapted_frame(self.n)
         c = change_frame(self.coeffs, S, Sinv)
         if np.abs(c.imag).max() > SYMMETRY_TOL * max(np.abs(c).max(), 1.0):
             raise ValidationError("real structure constants have a large imaginary part")
-        c = c.real.copy()
-        c.setflags(write=False)
-        return c
+        return c.real.copy()
 
     def __repr__(self) -> str:
         nz = int(np.count_nonzero(np.abs(self.coeffs) > 1e-14))

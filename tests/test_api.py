@@ -3,7 +3,8 @@
 Every judgement reads one named module constant (``lie_core.SYMMETRY_TOL``,
 ``hermitian_forms.INTEGRABILITY_TOL``, ``connections.JACOBI_TOL``, ...), so a
 tolerance changes in one place and not once per call path.  No module imports
-another module's ``_name``: a check that needs sharing is public.
+another module's ``_name``: a check that needs sharing is public.  A metric's
+inverse is computed by ``HermitianMetric`` alone.
 """
 
 import ast
@@ -66,3 +67,29 @@ def test_no_private_name_crosses_modules():
             if isinstance(node, ast.ImportFrom) and (node.level or "pluriflow" in (node.module or "")):
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, f"private names imported across modules: {', '.join(found)}"
+
+
+def _inv_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "inv"]
+
+
+def test_only_the_metric_inverts_a_metric():
+    # a metric owns its inverse and Gram pair; the kernels take G^-1 and never default it
+    src = Path(lie_core.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in src.glob("*.py")}
+    for name in ("bismut_ricci.py", "connections.py"):
+        assert not _inv_calls(trees[name]), f"{name} inverts a matrix"
+    metric = next(node for node in ast.walk(trees["hermitian_forms.py"])
+                  if isinstance(node, ast.ClassDef) and node.name == "HermitianMetric")
+    assert len(_inv_calls(trees["hermitian_forms.py"])) == len(_inv_calls(metric)) > 0
+    defaulted = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                a = fn.args
+                params = a.posonlyargs + a.args
+                with_default = params[len(params) - len(a.defaults):] + [
+                    p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defaulted += [f"{name}: {fn.name}" for p in with_default if p.arg == "Ginv"]
+    assert not defaulted, f"Ginv with a default: {', '.join(defaulted)}"

@@ -69,12 +69,13 @@ def test_eta_abelian_zero():
 def test_rho_displayed_components(heisenberg, inoue, solvable):
     x, y, z = 1.5, 0.8, 0.2 + 0.3j
     det = x * y - abs(z) ** 2
-    r = rho11_matrix(heisenberg.bracket.coeffs, general_metric(x, y, z).matrix)
+    g = general_metric(x, y, z)
+    r = rho11_matrix(heisenberg.bracket.coeffs, g.matrix, g.inverse)
     assert r[0, 0] == pytest.approx(-y ** 2 / (2 * det), rel=1e-13)
     assert np.abs(np.delete(r.reshape(-1), 0)).max() < 1e-15
 
     a, b = 1.0, 1.0
-    ri = rho11_matrix(inoue.bracket.coeffs, general_metric(x, y, z).matrix)
+    ri = rho11_matrix(inoue.bracket.coeffs, g.matrix, g.inverse)
     assert ri[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert ri[0, 1] == pytest.approx((3 * a ** 2 + b ** 2 - 2j * a * b) / 4 * x * z / det,
                                      rel=1e-13)
@@ -119,7 +120,7 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
     g = random_pd_metric(rng, 2)
     n = 2
     e = eta(mu, g).tensor
-    r = rho11_matrix(mu.coeffs, g.matrix)
+    r = rho11_matrix(mu.coeffs, g.matrix, g.inverse)
     for i in range(n):
         for j in range(n):
             val = -1j * np.dot(mu.coeffs[i, n + j, :], e)
@@ -137,8 +138,8 @@ def test_rho_component_formula_cross_check(rng, heisenberg):
             T = d_mu(mu, eta(mu, g)).tensor
             rho11 = 1j * T[:n, n:]
             tol = 1e-13 * np.abs(c).max() * np.abs(eta(mu, g).tensor).max()
-            assert np.abs(rho11_matrix(c, G) - rho11).max() <= tol
-            assert np.abs(rho20_matrix(c, G) - T[:n, :n]).max() <= tol
+            assert np.abs(rho11_matrix(c, G, g.inverse) - rho11).max() <= tol
+            assert np.abs(rho20_matrix(c, G, g.inverse) - T[:n, :n]).max() <= tol
             assert np.abs(_metric_field(mu, False)(G.reshape(-1)) + rho11.reshape(-1)).max() <= tol
             B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             hs = _metric_field(mu, True)(np.concatenate([G.reshape(-1), (B - B.T).reshape(-1)]))

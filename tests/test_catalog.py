@@ -41,7 +41,7 @@ def test_inoue_structure(inoue):
     assert inoue.bracket.coeffs[0, 1, 0] == pytest.approx(lam)
     assert nilpotency_step(inoue.bracket) is None
     g0 = HermitianMetric(np.eye(2))
-    r = rho11_matrix(inoue.bracket.coeffs, g0.matrix)
+    r = rho11_matrix(inoue.bracket.coeffs, g0.matrix, g0.inverse)
     assert r[1, 1] == pytest.approx(-3.0)  # rho_22 at x = y = 1, z = 0 with a = 1
     with pytest.raises(ValidationError):
         catalog.inoue_s0(0.0, 1.0)
@@ -58,7 +58,7 @@ def test_solvable_structure(solvable):
     # displayed four-term Bismut Ricci form at (x, y, z) = (1, 1, 0.3)
     G = solvable.default_tamed.omega.matrix
     D = 1.0 - 0.09
-    r20 = rho20_matrix(solvable.bracket.coeffs, G)
+    r20 = rho20_matrix(solvable.bracket.coeffs, G, solvable.default_tamed.omega.inverse)
     assert r20[0, 1] == pytest.approx(1j * 0.3 / (4 * D), rel=1e-13)
 
 
@@ -68,7 +68,7 @@ def test_inoue_parameter_sweep(a):
     x, y, z = 1.3, 0.9, 0.2 - 0.4j
     det = x * y - abs(z) ** 2
     G = HermitianMetric(np.array([[x, z], [np.conj(z), y]]))
-    r = rho11_matrix(entry.bracket.coeffs, G.matrix)
+    r = rho11_matrix(entry.bracket.coeffs, G.matrix, G.inverse)
     assert r[1, 1] == pytest.approx(-3 * a * a * x * y / det, rel=1e-12)
     assert r[0, 0] == pytest.approx(0.0, abs=1e-14)
     assert skt_defect(entry.bracket, G) < 1e-13
@@ -157,7 +157,7 @@ def test_closed_forms_satisfy_their_odes(rng):
     cf = h.closed_forms["pluriclosed"]
     assert cf.applies_to(G0)
     worst = _fd_check(cf.evaluate, G0,
-                      lambda G: -rho11_matrix(h.bracket.coeffs, G), ts)
+                      lambda G: -rho11_matrix(h.bracket.coeffs, G, np.linalg.inv(G)), ts)
     assert worst < 1e-6
 
     cfb = h.closed_forms["bracket"]
@@ -167,7 +167,8 @@ def test_closed_forms_satisfy_their_odes(rng):
         from pluriflow.flows import delta_mu
         from pluriflow.bismut_ricci import rho11_matrix as r11
 
-        Pc = r11(c, np.eye(2, dtype=complex)).T
+        identity = np.eye(2, dtype=complex)
+        Pc = r11(c, identity, identity).T
         P = np.zeros((4, 4), dtype=complex)
         P[:2, :2] = Pc
         P[2:, 2:] = np.conj(Pc)
@@ -183,8 +184,8 @@ def test_closed_forms_satisfy_their_odes(rng):
 
     def hs_rhs(state):
         G, _ = state
-        return (-rho11_matrix(s.bracket.coeffs, G),
-                -rho20_matrix(s.bracket.coeffs, G))
+        return (-rho11_matrix(s.bracket.coeffs, G, np.linalg.inv(G)),
+                -rho20_matrix(s.bracket.coeffs, G, np.linalg.inv(G)))
 
     worst = _fd_check(cfh.evaluate, seed, hs_rhs, ts)
     assert worst < 1e-6
@@ -194,7 +195,7 @@ def test_closed_forms_satisfy_their_odes(rng):
     G0 = np.eye(2, dtype=complex)
     assert cfi.applies_to(G0)
     worst = _fd_check(cfi.evaluate, G0,
-                      lambda G: -rho11_matrix(i.bracket.coeffs, G), ts)
+                      lambda G: -rho11_matrix(i.bracket.coeffs, G, np.linalg.inv(G)), ts)
     assert worst < 1e-6
 
 

@@ -422,7 +422,10 @@ def test_non_finite_config_exits_validation(tmp_path, capsys, verb, case):
 
 @pytest.mark.parametrize("settings", [
     {"dt": float("nan")}, {"positivity_floor": float("nan")}, {"dt": 0.3, "t_end": 1.0},
-], ids=["dt_nan", "positivity_floor_nan", "t_end_off_the_grid"])
+    {"sample_every": 2.0}, {"sample_every": 1.5}, {"sample_every": True},
+    {"max_halvings": 1.5},
+], ids=["dt_nan", "positivity_floor_nan", "t_end_off_the_grid", "sample_every_float",
+        "sample_every_fraction", "sample_every_bool", "max_halvings_fraction"])
 def test_invalid_integrator_exits_validation(tmp_path, capsys, settings):
     cfg = heis_run_cfg(tmp_path, tmp_path / "out", t_end=1.0)
     cfg["integrator"].update(settings)

@@ -21,7 +21,7 @@ from conftest import (
     random_pd_metric,
     torsion_tensor,
 )
-from pluriflow import catalog, connections, lie_core
+from pluriflow import catalog, connections, hermitian_forms, lie_core
 from pluriflow.errors import IntegrabilityError, ValidationError
 from pluriflow.connections import (
     Connection,
@@ -384,6 +384,17 @@ def test_real_structure_is_built_once_per_bracket(monkeypatch, rng):
         assert not c.flags.writeable and mu.real_structure() is c
         exported = export_real_structure(mu)[0]
         assert exported.flags.writeable and np.array_equal(exported, c)
+
+
+def test_metric_inverts_and_builds_its_gram_matrix_once(monkeypatch, rng):
+    # ricci_forms reads g.inverse (codifferential) and g.gram, g.gram_inverse
+    # (both connections); rho_B reads g.inverse again
+    mu, g = catalog.random_2step_skt(3, 1).bracket, random_pd_metric(rng, 3)
+    inversions = count_calls(monkeypatch, "inv", np.linalg)
+    grams = count_calls(monkeypatch, "gram_real", hermitian_forms)
+    ricci_forms(mu, g)
+    rho_B(mu, g)
+    assert (len(inversions), len(grams)) == (2, 1)
 
 
 def test_ricci_forms_error_paths(rng):

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     StepRejectedError,
     abelian,
+    count_calls,
     count_defects,
     non_integrable_bracket,
     random_pd_metric,
@@ -178,6 +179,10 @@ def test_step_error_estimate_is_fifth_order():
     pytest.param({"error_target": -1}, id="error_target_negative"),
     pytest.param({"positivity_floor": float("nan")}, id="positivity_floor_nan"),
     pytest.param({"max_halvings": -3}, id="max_halvings_negative"),
+    pytest.param({"sample_every": 2.0}, id="sample_every_float"),
+    pytest.param({"sample_every": 1.5}, id="sample_every_fraction"),
+    pytest.param({"sample_every": True}, id="sample_every_bool"),
+    pytest.param({"max_halvings": 1.5}, id="max_halvings_fraction"),
     pytest.param({"dt": 1.0, "t_end": 0.4}, id="t_end_below_one_step"),
     pytest.param({"dt": 0.3, "t_end": 1.0}, id="t_end_off_the_grid"),
 ])
@@ -269,6 +274,14 @@ def test_bracket_flow_checks_integrability_once_per_sample(monkeypatch, with_gau
     assert len(traj.times) == 5 and len(jacobi) == len(nijenhuis) == len(traj.times)
     g0 = HermitianMetric(np.eye(3))
     assert traj.monitors["skt_defect"] == [skt_defect(s.mu, g0) for s in traj.states]
+
+
+def test_bracket_flow_inverts_the_standard_metric_once(monkeypatch):
+    # every sample's skt_defect reads the inverse the standard metric keeps
+    mu0 = catalog.random_2step_skt(3, 0).bracket
+    inversions = count_calls(monkeypatch, "inv", np.linalg)
+    traj = bracket_flow(mu0, IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=1))
+    assert len(traj.times) == 21 and len(inversions) == 1
 
 
 def test_decay_calibration_checks_integrability_once_per_sample(monkeypatch):
@@ -425,7 +438,7 @@ def test_hs_beta_matches_quadrature_oracle(solvable):
     cfg = IntegratorConfig(dt=1e-2, t_end=5.0, sample_every=1)
     traj = hs_flow(solvable.bracket, solvable.default_tamed, cfg)
     ts = np.asarray(traj.times)
-    rhos = np.array([rho20_matrix(solvable.bracket.coeffs, s.g.matrix)
+    rhos = np.array([rho20_matrix(solvable.bracket.coeffs, s.g.matrix, s.g.inverse)
                      for s in traj.states])
     integral = (cumulative_simpson(rhos.real, x=ts, axis=0, initial=0.0)
                 + 1j * cumulative_simpson(rhos.imag, x=ts, axis=0, initial=0.0))

@@ -34,6 +34,7 @@ from pluriflow.hermitian_forms import (
     dolbeault_split,
     form_inner,
     fundamental_form,
+    gram_real,
     lee_form,
     metric_of,
     skt_defect,
@@ -83,6 +84,18 @@ def test_metric_matrix_read_only_caller_array_writeable(validate):
         g.matrix[0, 0] = 2.0
     G[0, 0] = 2.0
     assert G.flags.writeable
+
+
+def test_metric_derived_arrays_are_computed_once_and_read_only(rng):
+    g = random_pd_metric(rng, 3)
+    expected = {"inverse": np.linalg.inv(g.matrix), "gram": gram_real(g),
+                "gram_inverse": np.linalg.inv(gram_real(g))}
+    for name, value in expected.items():
+        derived = getattr(g, name)
+        assert np.array_equal(derived, value) and getattr(g, name) is derived
+        assert not derived.flags.writeable
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
 
 
 def test_metric_owns_its_matrix():
