@@ -27,11 +27,9 @@ from .hermitian_forms import (
     closedness_defect,
     codifferential,
     d_mu,
-    dolbeault_split,
     form_inner,
     fundamental_form,
     lee_form,
-    metric_of,
     skt_defect,
     taming_margin,
 )

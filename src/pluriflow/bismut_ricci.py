@@ -34,7 +34,7 @@ from .hermitian_forms import (
     fundamental_form,
     require_integrable,
 )
-from .lie_core import LieBracket, complexify
+from .lie_core import LieBracket
 
 
 class Endomorphism:
@@ -46,10 +46,6 @@ class Endomorphism:
             raise ValidationError(f"expected a square matrix, got {M.shape}")
         self.matrix = M
         self.n = M.shape[0]
-
-    def full(self) -> np.ndarray:
-        """Block-diagonal action on the complexified coordinates."""
-        return complexify(self.matrix)
 
     def frobenius_sq(self) -> float:
         """Squared Frobenius norm of the real 2n x 2n matrix: 2 ||hol block||^2."""

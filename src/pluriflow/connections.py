@@ -57,8 +57,6 @@ class Connection:
     """Left-invariant connection over the real adapted basis."""
 
     coeffs: np.ndarray  # (2n, 2n, 2n), nabla_{E_i} E_j = coeffs[i, j, k] E_k
-    metric_compatible: bool = False
-    j_parallel: bool = False
 
     @property
     def dim(self) -> int:
@@ -75,15 +73,10 @@ class CurvatureTensor:
 
     coeffs: np.ndarray
 
-    def lowered(self, gram: np.ndarray) -> np.ndarray:
-        """R(X, Y, Z, W) = g(R(X, Y) Z, W) as [i, j, l, w]."""
-        return np.einsum("ijml,mw->ijlw", self.coeffs, gram)
-
 
 @dataclass
 class BilinearForm:
     matrix: np.ndarray  # (2n, 2n) real
-    symmetric: bool = False
 
 
 class RicciData(NamedTuple):
@@ -106,8 +99,7 @@ def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
     m = c.shape[0]
     X = (c.reshape(m * m, m) @ g.gram).reshape(m, m, m)
     rhs = 0.5 * (X - X.transpose(2, 0, 1) + X.transpose(1, 2, 0))
-    return Connection(coeffs=rhs @ g.gram_inverse.T, metric_compatible=True,
-                      j_parallel=False)
+    return Connection(coeffs=rhs @ g.gram_inverse.T)
 
 
 def require_jacobi(mu: LieBracket) -> None:
@@ -141,7 +133,7 @@ def bismut(mu: LieBracket, g: HermitianMetric):
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
     gamma = lc + 0.5 * (c_real @ g.gram_inverse.T)
-    conn = Connection(coeffs=gamma, metric_compatible=True, j_parallel=True)
+    conn = Connection(coeffs=gamma)
 
     scale = max(np.abs(gamma).max(), 1.0)
     mats = conn.matrices()
@@ -190,8 +182,8 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     rho_c = rho_b_trace + ddstar
 
     return RicciData(
-        ric_g=BilinearForm(ric_g, symmetric=True),
-        ric_b=BilinearForm(ric_b, symmetric=False),
+        ric_g=BilinearForm(ric_g),
+        ric_b=BilinearForm(ric_b),
         rho_b_trace=rho_b_trace,
         rho_c=rho_c,
     )

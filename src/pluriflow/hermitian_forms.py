@@ -14,13 +14,12 @@ have squared length 2.
 g measures forms through the slot metric K = diag(conj G^-1, G^-1), the
 Hermitian structure g induces on covectors: <zeta^A, zeta^B> = K[A, B].
 On r-forms it acts slot by slot, <a, b> = sum a[A..] K[A, B].. conj(b[B..]) / r!,
-the sum over increasing multi-indices of a g-orthonormal coframe.  d, d* and
-the wedge are signed shuffle sums, shuffle(C, k)[a_1..a_r] = sum_I sign(I)
+the sum over increasing multi-indices of a g-orthonormal coframe.  d and d*
+are signed shuffle sums, shuffle(C, k)[a_1..a_r] = sum_I sign(I)
 C[a_I, a_rest] over the increasing k-subsets I of C's r slots.  On antisymmetric
-input zeta^a wedge T = shuffle(zeta^a (x) T, 1), d T = -shuffle(C, 2) with
-C[a, b, ...] = mu[a, b, e] T[e, ...], and d* psi = -shuffle(W, 1) / 2 with
-W[c, ...] = sum conj(mu[i, j, k]) K[A, i] K[B, j] psi[A, B, ...] K^-1[k, c],
-the adjoint of d_mu in the product above.
+input d T = -shuffle(C, 2) with C[a, b, ...] = mu[a, b, e] T[e, ...], and
+d* psi = -shuffle(W, 1) / 2 with W[c, ...] = sum conj(mu[i, j, k]) K[A, i]
+K[B, j] psi[A, B, ...] K^-1[k, c], the adjoint of d_mu in the product above.
 
 K is block-diagonal, so the C(r, p) slot arrangements of a pure (p, q)
 form contribute equally: |psi|^2 = C(r, p) / r! times the slot-metric sum
@@ -52,7 +51,7 @@ from .lie_core import (
     standard_j_diag,
 )
 
-INTEGRABILITY_TOL = 1e-8   # Nijenhuis defect and bidegree leakage of d_mu
+INTEGRABILITY_TOL = 1e-8   # Nijenhuis defect
 
 
 class HermitianMetric:
@@ -123,25 +122,8 @@ class InvariantForm:
         return InvariantForm(_bidegree_mask(self.n, self.degree, p) * self.tensor,
                              self.n, validate=False)
 
-    def bidegree_weights(self) -> dict[tuple[int, int], float]:
-        """Max coefficient magnitude of each (p, q) component."""
-        r = self.degree
-        out = {}
-        for p in range(r + 1):
-            part = _bidegree_mask(self.n, r, p) * self.tensor
-            w = float(np.abs(part).max()) if part.size else 0.0
-            if w > 0.0:
-                out[(p, r - p)] = w
-        return out
-
     def __add__(self, other: "InvariantForm") -> "InvariantForm":
         return InvariantForm(self.tensor + other.tensor, self.n, validate=False)
-
-    def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return InvariantForm(self.tensor - other.tensor, self.n, validate=False)
-
-    def __rmul__(self, c: complex) -> "InvariantForm":
-        return InvariantForm(c * self.tensor, self.n, validate=False)
 
     def __repr__(self) -> str:
         return f"InvariantForm(n={self.n}, degree={self.degree})"
@@ -214,19 +196,6 @@ def _shuffle(C: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def basis_form(n: int, *indices: int) -> InvariantForm:
-    """Elementary wedge of coframe covectors, determinant convention.
-
-    ``basis_form(2, 0, 2)`` is zeta^1 wedge zeta^1bar for n = 2, an iterated wedge.
-    """
-    if len(set(indices)) != len(indices):
-        raise ValidationError("repeated index in elementary form")
-    T = np.ones((), dtype=complex)
-    for a in reversed(indices):
-        T = _shuffle(np.multiply.outer(np.eye(2 * n)[a], T), 1)
-    return InvariantForm(T, n, validate=False)
-
-
 def fundamental_form(g: HermitianMetric) -> InvariantForm:
     """omega = -i g[r, k] zeta^r wedge zeta^kbar, the (1,1) form of g."""
     n = g.n
@@ -234,14 +203,6 @@ def fundamental_form(g: HermitianMetric) -> InvariantForm:
     T[:n, n:] = -1j * g.matrix
     T[n:, :n] = 1j * g.matrix.T
     return InvariantForm(T, n, validate=False)
-
-
-def metric_of(form: InvariantForm) -> HermitianMetric:
-    """Inverse of ``fundamental_form`` on pure (1,1) real forms."""
-    n = form.n
-    if form.degree != 2:
-        raise ValidationError("metric_of expects a 2-form")
-    return HermitianMetric(1j * form.tensor[:n, n:])
 
 
 def d_mu_tensor(m: np.ndarray, T: np.ndarray, n: int) -> np.ndarray:
@@ -268,23 +229,6 @@ def require_integrable(mu: LieBracket) -> None:
     if mu.nijenhuis > INTEGRABILITY_TOL:
         raise IntegrabilityError(
             f"Nijenhuis defect {mu.nijenhuis:.3e} exceeds {INTEGRABILITY_TOL:.1e}")
-
-
-def dolbeault_split(mu: LieBracket, form: InvariantForm):
-    """Split d_mu(form) of a pure (p, q) form into (p+1, q) and (p, q+1) parts."""
-    require_integrable(mu)
-    weights = form.bidegree_weights()
-    if len(weights) != 1:
-        raise ValidationError(f"form is not of pure bidegree: components {sorted(weights)}")
-    (p, q), _ = next(iter(weights.items()))
-    d = d_mu(mu, form)
-    out_pq = d.bidegree_part(p + 1, q)
-    out_qp = d.bidegree_part(p, q + 1)
-    leak = d - out_pq - out_qp
-    scale = max(d.max_norm(), 1.0)
-    if leak.max_norm() > INTEGRABILITY_TOL * scale:
-        raise IntegrabilityError(f"bidegree leakage {leak.max_norm():.3e} for ({p},{q}) form")
-    return out_pq, out_qp
 
 
 def big_bilinear(g: HermitianMetric) -> np.ndarray:
@@ -384,17 +328,10 @@ def skt_defect(mu: LieBracket, g: HermitianMetric) -> float:
     return float(np.sqrt(np.vdot(E, K2.T.conj() @ E @ K2).real / 4))
 
 
-def j_on_one_form(alpha: InvariantForm) -> InvariantForm:
-    """(J alpha)(X) = alpha(J X) on 1-forms."""
-    if alpha.degree != 1:
-        raise ValidationError("expected a 1-form")
-    return InvariantForm(standard_j_diag(alpha.n) * alpha.tensor, alpha.n, validate=False)
-
-
 def lee_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
-    """Lee form theta = -J(d* omega)."""
+    """Lee form theta = -J(d* omega), with (J alpha)(X) = alpha(J X) on 1-forms."""
     dstar = codifferential(mu, g, fundamental_form(g))
-    return -1 * j_on_one_form(dstar)
+    return InvariantForm(-standard_j_diag(mu.n) * dstar.tensor, mu.n, validate=False)
 
 
 def taming_margin(Omega: TamedForm) -> float:

@@ -181,11 +181,10 @@ class Subspace:
     """Subspace of the complexified algebra, columns of ``basis`` orthonormal."""
 
     basis: np.ndarray  # (2n, dim) complex, orthonormal columns
-    dim: int
 
-    def __post_init__(self):
-        if self.basis.shape[1] != self.dim:
-            raise ValidationError("basis column count does not match dim")
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def jacobi_defect(mu: LieBracket) -> float:
@@ -254,7 +253,7 @@ def center(mu: LieBracket) -> Subspace:
     _, s, vh = np.linalg.svd(M, full_matrices=False)
     mask = s <= KERNEL_TOL * s[0]
     basis = vh.conj().T[:, mask]
-    return Subspace(basis=basis, dim=int(mask.sum()))
+    return Subspace(basis)
 
 
 def act(h: np.ndarray, mu: LieBracket) -> LieBracket:

@@ -218,7 +218,7 @@ def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
     """Image of a subspace under the complexified action of h in GL(n, C)."""
     img = complexify(h) @ sub.basis
     q, _ = np.linalg.qr(img)
-    return Subspace(basis=q, dim=sub.dim)
+    return Subspace(q)
 
 
 def reality_defect(form: InvariantForm) -> float:
@@ -236,7 +236,7 @@ def one_one_part(b: BilinearForm) -> BilinearForm:
     n = b.matrix.shape[0] // 2
     _, _, J, _ = adapted_frame(n)
     avg = 0.5 * (b.matrix + J.T @ b.matrix @ J)
-    return BilinearForm(matrix=avg, symmetric=b.symmetric)
+    return BilinearForm(matrix=avg)
 
 
 def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
@@ -247,7 +247,7 @@ def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
 def real_matrix(P: Endomorphism) -> np.ndarray:
     """Action of an endomorphism on real adapted coordinates."""
     S, Sinv, _, _ = adapted_frame(P.n)
-    M = Sinv @ P.full() @ S
+    M = Sinv @ complexify(P.matrix) @ S
     return M.real
 
 
@@ -358,7 +358,7 @@ def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> BilinearForm:
     block[:q, :q] = ric_vv
     block[q:, q:] = ric_zz
     binv = np.linalg.inv(basis)
-    return BilinearForm(matrix=binv.T @ block @ binv, symmetric=True)
+    return BilinearForm(matrix=binv.T @ block @ binv)
 
 
 def rho_B_2step(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
@@ -406,7 +406,7 @@ def bismut_scalar_pairing_check(mu: LieBracket) -> tuple[float, float]:
 
 def p_annihilates_center_defect(mu: LieBracket) -> float:
     """Max norm of P_mu applied to an orthonormal basis of the center."""
-    P = p_of_bracket(mu).full()
+    P = complexify(p_of_bracket(mu).matrix)
     xi = center(mu)
     if xi.dim == 0:
         return 0.0

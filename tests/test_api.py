@@ -1,4 +1,5 @@
-"""The public API takes no tolerance arguments, and private names stay private.
+"""The public API takes no tolerance arguments, private names stay private, and
+every public name is called by the package or listed in the README's API section.
 
 Every judgement reads one named module constant (``lie_core.SYMMETRY_TOL``,
 ``hermitian_forms.INTEGRABILITY_TOL``, ``connections.JACOBI_TOL``, ...), so a
@@ -8,7 +9,9 @@ inverse is computed by ``HermitianMetric`` alone.
 """
 
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,59 @@ def test_only_the_metric_inverts_a_metric():
                     p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 defaulted += [f"{name}: {fn.name}" for p in with_default if p.arg == "Ginv"]
     assert not defaulted, f"Ginv with a default: {', '.join(defaulted)}"
+
+
+def _public_definitions(tree):
+    """(qualified name, node, is_method) for each public top-level function and
+    class of a module and each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member, True
+
+
+def _readme_api_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.partition("\n## API\n")[2].split("\n## ", 1)[0]
+
+
+def test_every_public_name_has_a_caller_or_a_readme_entry():
+    # a name is called if another line of the package refers to it: as an
+    # attribute (ast.Attribute), or for a module-level name also by name
+    # (ast.Name); its own definition and __init__'s re-exports do not count
+    src = Path(lie_core.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    by_name, by_attribute = {}, {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                by_name.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                by_attribute.setdefault(n.attr, []).append(n)
+    section = _readme_api_section()
+    listed = re.findall(r"^- `([\w.]+)`", section, re.M)
+    uncalled = []
+    for module, tree in trees.items():
+        for qualname, node, is_method in _public_definitions(tree):
+            refs = by_attribute.get(node.name, []) + (
+                [] if is_method else by_name.get(node.name, []))
+            own = {id(n) for n in ast.walk(node)}
+            called = any(id(n) not in own for n in refs)
+            if not called and f"{module}.{qualname}" not in listed:
+                uncalled.append(f"{module}.{qualname}")
+    assert not uncalled, f"public names with no caller and no README API entry: {uncalled}"
+    # the converse: every listed name and every test named beside it exists
+    for name in listed:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"pluriflow.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), name
+    tests = {fn.name for path in Path(__file__).parent.glob("test_*.py")
+             for fn in ast.parse(path.read_text()).body if isinstance(fn, ast.FunctionDef)}
+    named = re.findall(r"`(test_\w+)`", section)
+    assert named and not set(named) - tests, f"README names missing tests: {set(named) - tests}"

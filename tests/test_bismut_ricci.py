@@ -186,7 +186,7 @@ def test_p_of_bracket_center_family():
 def test_p_properties(rng, heisenberg):
     mu = heisenberg.bracket
     P = p_of_bracket(mu)
-    full = P.full()
+    full = complexify(P.matrix)
     n = mu.n
     jd = np.diag(standard_j_diag(n))
     assert np.abs(full @ jd - jd @ full).max() < 1e-13          # commutes with J0

@@ -84,21 +84,19 @@ def test_bismut_torus_equals_levi_civita(rng, torus2):
 def test_bismut_heisenberg_torsion(heisenberg):
     mu = heisenberg.bracket
     g = HermitianMetric(np.eye(2))
-    conn, c = bismut(mu, g)
+    _, c = bismut(mu, g)
     S, _, _, _ = adapted_frame(2)
     c_real = transform_form(c.tensor, S).real
     # c = -2 E^1 ^ E^3 ^ E^4 and nothing else
     assert c_real[0, 2, 3] == pytest.approx(-2.0)
     assert np.abs(c_real).max() == pytest.approx(2.0)
     assert d_mu(mu, c).max_norm() < 1e-14  # SKT: torsion form is closed
-    assert conn.metric_compatible and conn.j_parallel
 
 
 def test_bismut_defining_properties_random_metrics(rng, heisenberg):
     for _ in range(5):
         g = random_pd_metric(rng, 2)
-        conn, c = bismut(heisenberg.bracket, g)  # raises if residuals exceed 1e-8
-        assert conn.j_parallel
+        bismut(heisenberg.bracket, g)  # raises if residuals exceed 1e-8
 
 
 def test_curvature_antisymmetry_and_flat_abelian(rng):
@@ -118,7 +116,7 @@ def test_curvature_matches_two_step_formula(heisenberg):
     gram = gram_real(g)
     R = curvature(levi_civita(mu, g), mu)
     c = mu.real_structure()
-    low = R.lowered(gram)
+    low = np.einsum("ijml,mw->ijlw", R.coeffs, gram)   # g(R(X, Y) Z, W) as [i, j, l, w]
     lhs = low[0, 2, 0, 2]  # g(R(E1, E3) E1, E3)
     rhs = 0.75 * (c[0, 2, :] @ gram @ c[0, 2, :])
     assert lhs == pytest.approx(rhs, rel=1e-12)

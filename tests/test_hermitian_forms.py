@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -26,17 +25,14 @@ from pluriflow.hermitian_forms import (
     HermitianMetric,
     InvariantForm,
     TamedForm,
-    basis_form,
     closedness_defect,
     codifferential,
     d_mu,
     d_mu_tensor,
-    dolbeault_split,
     form_inner,
     fundamental_form,
     gram_real,
     lee_form,
-    metric_of,
     skt_defect,
     taming_margin,
 )
@@ -47,26 +43,12 @@ from pluriflow.lie_core import (
     complexify,
     jacobi_defect,
     nijenhuis_defect,
+    standard_j_diag,
 )
 
 
 def zeta_wedge(n, *indices):
-    return basis_form(n, *indices)
-
-
-def test_basis_form_matches_permutation_table(rng):
-    for r in range(5):
-        for indices in itertools.combinations(range(4), r):
-            form = basis_form(2, *indices)
-            assert form.degree == r
-            assert np.array_equal(form.tensor, brute_basis_form(2, *indices)), indices
-    for r in range(7):
-        for _ in range(4):
-            indices = tuple(int(a) for a in rng.permutation(6)[:r])
-            assert np.array_equal(basis_form(3, *indices).tensor,
-                                  brute_basis_form(3, *indices)), indices
-    with pytest.raises(ValidationError):
-        basis_form(2, 0, 1, 0)
+    return brute_basis_form(n, *indices)
 
 
 def test_metric_validation():
@@ -109,13 +91,13 @@ def test_metric_owns_its_matrix():
 
 def test_fundamental_form_identity_and_general():
     w0 = fundamental_form(HermitianMetric(np.eye(2)))
-    expected = (-1j * zeta_wedge(2, 0, 2) - 1j * zeta_wedge(2, 1, 3)).tensor
+    expected = -1j * zeta_wedge(2, 0, 2) - 1j * zeta_wedge(2, 1, 3)
     assert_form_close(w0.tensor, expected)
     x, y, z = 1.4, 0.6, 0.2 - 0.3j
     g = HermitianMetric(np.array([[x, z], [np.conj(z), y]]))
     w = fundamental_form(g)
     expected = (-1j * x * zeta_wedge(2, 0, 2) - 1j * y * zeta_wedge(2, 1, 3)
-                - 1j * z * zeta_wedge(2, 0, 3) - 1j * np.conj(z) * zeta_wedge(2, 1, 2)).tensor
+                - 1j * z * zeta_wedge(2, 0, 3) - 1j * np.conj(z) * zeta_wedge(2, 1, 2))
     assert_form_close(w.tensor, expected)
     assert is_real(w)
 
@@ -123,8 +105,8 @@ def test_fundamental_form_identity_and_general():
 def test_fundamental_form_round_trip(rng):
     for _ in range(5):
         g = random_pd_metric(rng, 3)
-        back = metric_of(fundamental_form(g))
-        assert np.abs(back.matrix - g.matrix).max() < 1e-14
+        back = 1j * fundamental_form(g).tensor[:3, 3:]
+        assert np.abs(back - g.matrix).max() < 1e-14
 
 
 def test_d_of_constant_is_zero(heisenberg):
@@ -153,7 +135,7 @@ def test_solvable_coframe_differentials(solvable):
     zeta1 = InvariantForm(np.eye(4)[0].astype(complex), 2, validate=False)
     zeta2 = InvariantForm(np.eye(4)[1].astype(complex), 2, validate=False)
     d1 = d_mu(mu, zeta1)
-    expected = (-0.5 * zeta_wedge(2, 0, 1) + 0.5 * zeta_wedge(2, 0, 3)).tensor
+    expected = -0.5 * zeta_wedge(2, 0, 1) + 0.5 * zeta_wedge(2, 0, 3)
     assert_form_close(d1.tensor, expected)
     assert d_mu(mu, zeta2).max_norm() < 1e-15
 
@@ -192,31 +174,12 @@ def test_d_matches_bruteforce(rng, solvable, inoue):
             assert_form_close(got, brute_d(mu, T), tol=1e-12, scale=max(np.abs(T).max(), 1.0))
 
 
-def test_dolbeault_split_solvable(solvable):
-    zeta1 = InvariantForm(np.eye(4)[0].astype(complex), 2, validate=False)
-    del_part, delbar_part = dolbeault_split(solvable.bracket, zeta1)
-    assert_form_close(del_part.tensor, (-0.5 * zeta_wedge(2, 0, 1)).tensor)
-    assert_form_close(delbar_part.tensor, (0.5 * zeta_wedge(2, 0, 3)).tensor)
-
-
 def test_dolbeault_split_abelian_and_bidegree_bookkeeping(rng, heisenberg):
-    mu = abelian()
     zeta1 = InvariantForm(np.eye(4)[0].astype(complex), 2, validate=False)
-    a, b = dolbeault_split(mu, zeta1)
-    assert a.max_norm() == 0.0 and b.max_norm() == 0.0
-    # leakage of d on pure (p, q) forms stays below 1e-12 for integrable mu
-    mu = heisenberg.bracket
-    w = fundamental_form(random_pd_metric(rng, 2))
-    d = d_mu(mu, w)
-    for (p, q), _ in d.bidegree_weights().items():
-        assert (p, q) in ((2, 1), (1, 2))
-
-
-def test_dolbeault_split_rejects_mixed_bidegree(heisenberg):
-    w = fundamental_form(HermitianMetric(np.eye(2)))
-    mixed = w + zeta_wedge(2, 0, 1)
-    with pytest.raises(ValidationError):
-        dolbeault_split(heisenberg.bracket, mixed)
+    assert d_mu(abelian(), zeta1).max_norm() == 0.0
+    # d of the pure (1,1) form omega has no (3,0) or (0,3) part for integrable mu
+    d = d_mu(heisenberg.bracket, fundamental_form(random_pd_metric(rng, 2)))
+    assert d.bidegree_part(3, 0).max_norm() == d.bidegree_part(0, 3).max_norm() == 0.0
 
 
 def test_codifferential_abelian_zero(rng):
@@ -340,9 +303,7 @@ def test_lee_form(rng, heisenberg, inoue, torus2):
     # defining property g(J theta, alpha) = g(omega, d alpha) on a basis of 1-forms
     mu = inoue.bracket
     w = fundamental_form(g0)
-    from pluriflow.hermitian_forms import j_on_one_form
-
-    jtheta = j_on_one_form(theta := th_inoue)
+    jtheta = InvariantForm(standard_j_diag(2) * th_inoue.tensor, 2, validate=False)
     for k in range(4):
         alpha = InvariantForm(np.eye(4)[k].astype(complex), 2, validate=False)
         lhs = form_inner(jtheta, alpha, g0)
