@@ -14,7 +14,10 @@ metric: lowering with g and raising with g^{-1} cancel, because the Gram
 matrix is symmetric (g^{-1} g^T = I) and J-invariant (g^{-1} (g J)^T = -J).
 So ric[X, Y] = R[k, X, k, Y] and rho[X, Y] = R[X, Y, m, k] J[m, k] / 2 on
 the curvature coefficients R[i, j, m, l] (the E_m component of
-R(E_i, E_j) E_l).
+R(E_i, E_j) E_l).  ``curvature`` returns a ``CurvatureTensor``, which
+takes these traces (``ricci``, ``rho``) from the connection matrices
+and the structure constants and builds the 4-index coefficients only when
+they are read; ``ricci_forms`` reads only the traces.
 
 The public functions are the kernels, and ``ricci_forms`` is composed from
 them.  ``levi_civita`` and ``bismut`` check their bracket and read its
@@ -23,9 +26,9 @@ inverse come from the metric (``g.gram``, ``g.gram_inverse``).  ``bismut``
 calls ``levi_civita``, so ``ricci_forms`` builds the Levi-Civita connection
 twice, but the second build costs only the Koszul product.  The Bismut
 residuals are judged against ``BISMUT_TOL``.  The kernels contract by
-matrix products and ``tensordot``: the Koszul terms are transposes of one
-product, each curvature is two products, and no einsum path search runs per
-call.
+matrix products: the Koszul terms are transposes of one product, each
+trace is one (m, m^2) @ (m^2, m) product with m = 2n, and no einsum path
+search runs per call.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .hermitian_forms import (
     require_integrable,
     transform_form,
 )
-from .lie_core import LieBracket, adapted_frame, standard_j_diag
+from .lie_core import Derived, LieBracket, adapted_frame, standard_j_diag
 
 JACOBI_TOL = 1e-8            # Jacobi defect, judged by ``require_jacobi``
 BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
@@ -58,20 +61,57 @@ class Connection:
 
     coeffs: np.ndarray  # (2n, 2n, 2n), nabla_{E_i} E_j = coeffs[i, j, k] E_k
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
     def matrices(self) -> np.ndarray:
         """Stack of the nabla_{E_i} matrices, shape (2n, 2n, 2n) as [i, row, col]."""
         return self.coeffs.transpose(0, 2, 1)
 
 
-@dataclass
 class CurvatureTensor:
-    """R[i, j, m, l]: the E_m component of R(E_i, E_j) E_l."""
+    """R[i, j, m, l]: the E_m component of R(E_i, E_j) E_l, where
+    R(E_i, E_j) = [M_i, M_j] - sum_k c[i, j, k] M_k for the connection
+    matrices M_i and the bracket's real structure constants c.
 
-    coeffs: np.ndarray
+    It holds a copy of the matrices and the bracket's read-only constants.
+    ``coeffs`` is built when first read; ``ricci`` and ``rho`` contract
+    M and c directly, with one (m, m^2) @ (m^2, m) product as the largest
+    step, and build no 4-index array.
+    """
+
+    def __init__(self, mats: np.ndarray, c: np.ndarray):
+        self._mats = np.array(mats)
+        self._mats.setflags(write=False)
+        self._c = c
+
+    @Derived
+    def coeffs(self) -> np.ndarray:
+        """R as two products: (M_i @ M_j)[a, c] for every (i, j), and sum_k c[i, j, k] M_k."""
+        mats, c = self._mats, self._c
+        m = c.shape[0]
+        prod = mats.reshape(m * m, m) @ mats.transpose(1, 0, 2).reshape(m, m * m)
+        comm = prod.reshape(m, m, m, m).transpose(0, 2, 1, 3)
+        lower = (c.reshape(m * m, m) @ mats.reshape(m, m * m)).reshape(m, m, m, m)
+        return comm - comm.transpose(1, 0, 2, 3) - lower
+
+    def ricci(self) -> np.ndarray:
+        """ric[j, l] = R[k, j, k, l] = (v M_j)[l] - sum_{k, p} (M[j, k, p] + c[p, j, k]) M[k, p, l]
+        with v[b] = sum_k M[k, k, b]."""
+        mats, c = self._mats, self._c
+        m = c.shape[0]
+        v = np.trace(mats, axis1=0, axis2=1)
+        left = mats.reshape(m, m * m) + c.transpose(1, 2, 0).reshape(m, m * m)
+        return v @ mats - left @ mats.reshape(m * m, m)
+
+    def rho(self) -> np.ndarray:
+        """rho[i, j] = sum_{a, b} R[i, j, a, b] J[a, b] / 2 for the standard J on
+        real coordinates (``adapted_frame``), as (P - P^T - sum_k c[i, j, k] w[k]) / 2
+        with P[i, j] = tr(M_i M_j J^T) and w[k] = sum_{a, b} M[k, a, b] J[a, b]."""
+        mats, c = self._mats, self._c
+        m = c.shape[0]
+        J = adapted_frame(m // 2)[2]
+        MJ = (mats.reshape(m * m, m) @ J.T).reshape(m, m, m)   # M_j J^T as [j, b, a]
+        P = mats.reshape(m, m * m) @ MJ.transpose(2, 1, 0).reshape(m * m, m)
+        w = mats.reshape(m, m * m) @ J.reshape(m * m)
+        return 0.5 * (P - P.T - (c.reshape(m * m, m) @ w).reshape(m, m))
 
 
 @dataclass
@@ -149,15 +189,8 @@ def bismut(mu: LieBracket, g: HermitianMetric):
 
 
 def curvature(conn: Connection, mu: LieBracket) -> CurvatureTensor:
-    """R(X, Y) = [nabla_X, nabla_Y] - nabla_{mu(X, Y)} on the real basis, as two
-    products: (mats[i] @ mats[j])[a, c] for every (i, j), and sum_k c[i, j, k] mats[k]."""
-    mats = conn.matrices()
-    c = mu.real_structure()
-    m = c.shape[0]
-    prod = mats.reshape(m * m, m) @ mats.transpose(1, 0, 2).reshape(m, m * m)
-    comm = prod.reshape(m, m, m, m).transpose(0, 2, 1, 3)
-    lower = (c.reshape(m * m, m) @ mats.reshape(m, m * m)).reshape(m, m, m, m)
-    return CurvatureTensor(coeffs=comm - comm.transpose(1, 0, 2, 3) - lower)
+    """R(X, Y) = [nabla_X, nabla_Y] - nabla_{mu(X, Y)} on the real basis."""
+    return CurvatureTensor(conn.matrices(), mu.real_structure())
 
 
 def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
@@ -168,22 +201,18 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     twice: inside ``bismut``, and for the Levi-Civita curvature.
     """
     bc, _ = bismut(mu, g)
-    Rg = curvature(levi_civita(mu, g), mu).coeffs
-    Rb = curvature(bc, mu).coeffs
-    _, Sinv, J_real, _ = adapted_frame(mu.n)
-
-    ric_g = np.trace(Rg, axis1=0, axis2=2)
-    ric_b = np.trace(Rb, axis1=0, axis2=2)
-    rho_real = 0.5 * np.tensordot(Rb, J_real, axes=([2, 3], [0, 1]))
-    rho_b_trace = InvariantForm(transform_form(rho_real, Sinv), mu.n, validate=False)
+    Rg = curvature(levi_civita(mu, g), mu)
+    Rb = curvature(bc, mu)
+    Sinv = adapted_frame(mu.n)[1]
+    rho_b_trace = InvariantForm(transform_form(Rb.rho(), Sinv), mu.n, validate=False)
 
     omega = fundamental_form(g)
     ddstar = d_mu(mu, codifferential(mu, g, omega))
     rho_c = rho_b_trace + ddstar
 
     return RicciData(
-        ric_g=BilinearForm(ric_g),
-        ric_b=BilinearForm(ric_b),
+        ric_g=BilinearForm(Rg.ricci()),
+        ric_b=BilinearForm(Rb.ricci()),
         rho_b_trace=rho_b_trace,
         rho_c=rho_c,
     )

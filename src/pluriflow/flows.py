@@ -246,15 +246,21 @@ def _metric_flow(kind: str, mu0: LieBracket, g0: HermitianMetric, beta0: np.ndar
                  direction: float = 1.0) -> FlowTrajectory:
     """Integrate the metric field from g0, carrying beta when beta0 is given.
 
-    Each sample is one ``MetricState``, recorded with ``channels(state)``.
-    Accepted states are Hermitized (beta antisymmetrized); the run stops at
-    the positivity floor, positivity_floor times the smallest eigenvalue of g0.
+    Each sample is one ``MetricState``, recorded with its smallest eigenvalue
+    as ``min_eigenvalue`` and then ``channels(state)``.  Accepted states are
+    Hermitized (beta antisymmetrized); the run stops at the positivity floor,
+    positivity_floor times the smallest eigenvalue of g0.  Every row after
+    the first records a state the guard has just seen, so its
+    ``min_eigenvalue`` is the guard's.
     """
     n, nsq = mu0.n, mu0.n ** 2
     with_beta = beta0 is not None
     base = _metric_field(mu0, with_beta)
     f = base if direction > 0 else (lambda y: -base(y))
-    floor = cfg.positivity_floor * g0.min_eigenvalue()
+    parts = (g0.matrix,) if beta0 is None else (g0.matrix, beta0)
+    y0 = np.concatenate([p.reshape(-1) for p in parts])
+    lam = [g0.min_eigenvalue()]   # smallest eigenvalue of the last state the guard saw
+    floor = cfg.positivity_floor * lam[0]
     traj = FlowTrajectory(kind=kind)
 
     def project(y: np.ndarray) -> np.ndarray:
@@ -264,16 +270,16 @@ def _metric_flow(kind: str, mu0: LieBracket, g0: HermitianMetric, beta0: np.ndar
         beta = y[nsq:].reshape(n, n)
         return np.concatenate([G, (0.5 * (beta - beta.T)).reshape(-1)])
 
+    def guard(y: np.ndarray) -> bool:
+        lam[0] = float(np.linalg.eigvalsh(y[:nsq].reshape(n, n)).min())
+        return lam[0] <= floor
+
     def record(t: float, y: np.ndarray) -> None:
         beta = y[nsq:].reshape(n, n).copy() if with_beta else None
         state = MetricState(HermitianMetric(y[:nsq].reshape(n, n), validate=False), beta)
-        traj.record(t, state, channels(state))
+        traj.record(t, state, {"min_eigenvalue": lam[0], **channels(state)})
 
-    parts = (g0.matrix,) if beta0 is None else (g0.matrix, beta0)
-    traj.termination, traj.stats = _integrate(
-        f, np.concatenate([p.reshape(-1) for p in parts]), project,
-        guard=lambda y: float(np.linalg.eigvalsh(y[:nsq].reshape(n, n)).min()) <= floor,
-        record=record, cfg=cfg)
+    traj.termination, traj.stats = _integrate(f, y0, project, guard, record, cfg)
     return traj
 
 
@@ -289,7 +295,7 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
 
     def channels(state: MetricState) -> dict[str, float]:
         g = state.g
-        ch = {"min_eigenvalue": g.min_eigenvalue(), "skt_defect": skt_defect(mu0, g)}
+        ch = {"skt_defect": skt_defect(mu0, g)}
         if two_step:
             ddstar = d_mu(mu0, codifferential(mu0, g, fundamental_form(g)))
             ch["reduction_defect"] = (rho_B(mu0, g) + ddstar).bidegree_part(1, 1).max_norm()
@@ -426,8 +432,8 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
     nilpotent algebras admit no closed taming form at all.  A seed that
     fails to tame the complex structure is fatal.  Taming cannot be lost
     later without tripping the positivity floor first: the taming margin
-    equals the smallest eigenvalue of the metric, so one value is recorded
-    as both ``min_eigenvalue`` and ``taming_margin``.
+    equals the smallest eigenvalue of the metric, so ``taming_margin``
+    repeats ``min_eigenvalue``.
     """
     rep0 = closedness_defect(mu0, Omega0)
     if rep0.defect > cfg.defect_tolerances["closedness_defect"]:
@@ -438,13 +444,11 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
 
     def channels(state: MetricState) -> dict[str, float]:
         tf = TamedForm(state.g, state.beta)
-        margin = taming_margin(tf)
         rep = closedness_defect(mu0, tf)
         return {
-            "min_eigenvalue": margin,
             "closedness_defect": rep.defect,
             "closedness_drift": abs(rep.defect - rep0.defect),
-            "taming_margin": margin,
+            "taming_margin": taming_margin(tf),
         }
 
     return _metric_flow("hs", mu0, Omega0.omega, Omega0.beta, channels, cfg)

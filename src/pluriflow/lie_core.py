@@ -10,7 +10,7 @@ with J0 E_k = E_{k+n}.  Index A >= n denotes the conjugate of A - n.
 
 A bracket mu is a dense complex tensor ``coeffs`` of shape (2n, 2n, 2n):
 ``coeffs[A, B, C]`` is the coefficient of basis vector C in mu(b_A, b_B).
-Stored tensors are antisymmetric in (A, B) and satisfy the reality
+Stored tensors are exactly antisymmetric in (A, B) and satisfy the reality
 symmetry conj(coeffs[A, B, C]) = coeffs[bar A, bar B, bar C].  A bracket
 owns a read-only copy of its coefficients, so it is judged once per object:
 its ``jacobi`` and ``nijenhuis`` defects and its real structure constants
@@ -123,7 +123,14 @@ class Derived(cached_property):
 
 
 class LieBracket:
-    """Structure-constant tensor of a bracket on the complexified algebra."""
+    """Structure-constant tensor of a bracket on the complexified algebra.
+
+    The coefficients are exactly antisymmetric: coeffs[b, a] == -coeffs[a, b]
+    bit for bit, and coeffs[a, a] == 0.  ``jacobi_defect`` relies on it.
+    ``validate=True`` ensures it by ``symmetrize_bracket``; a caller that
+    passes ``validate=False`` hands in a ``symmetrize_bracket`` output,
+    zeros, or a tensor x - x.transpose(1, 0, 2).
+    """
 
     def __init__(self, coeffs: np.ndarray, *, validate: bool = True):
         coeffs = np.array(coeffs, dtype=complex)
@@ -190,20 +197,44 @@ class Subspace:
 def jacobi_defect(mu: LieBracket) -> float:
     """Max norm of mu(mu(X, Y), Z) + cyclic over complexified basis triples.
 
-    The three cyclic terms are index permutations of one contraction
-    D[a, b, c, e] = c_abd c_dce.
+    With D[a, b, c, e] = c_abd c_dce, the cyclic sum at (a, b, c) is
+    (D[a, b, c] + D[b, c, a]) + D[c, a, b], added in that order.  The
+    coefficients are exactly antisymmetric in their first two indices (see
+    ``LieBracket``), so D[b, a] = -D[a, b] and D[a, a] = 0 exactly.  The sum
+    is then exactly 0 where two indices agree, and for a < b < c its six
+    orderings are the three association orders (x + y) + z, (y + z) + x and
+    (z + x) + y, or their negatives, of x = D[a, b, c], y = D[b, c, a] and
+    z = -D[a, c, b].  So the maximum reads only the ordered triples, and D
+    only at its rows a < b: one (m(m-1)/2, m) @ (m, m^2) product.  A row of
+    a product has the same bits whichever other rows are computed with it,
+    so this is the dense maximum bit for bit; a block of columns is a
+    product of another shape, whose kernel may sum in another order.
     """
     c = mu.coeffs
     m = c.shape[0]
-    n = m // 2
-    right = c.reshape(m, m * m)
-    # Two half-size products, one per half of the first index, give the bits
-    # of the single (m^2, m) @ (m, m^2) product, which at n = 5 is large
-    # enough for OpenBLAS to wake its second thread; that thread then spins
-    # through the rest of the run (cpu/wall 1.9 -> 1.0 over repeated calls).
-    D = np.concatenate([c[:n].reshape(n * m, m) @ right,
-                        c[n:].reshape(n * m, m) @ right]).reshape(m, m, m, m)
-    return float(np.abs(D + D.transpose(2, 0, 1, 3) + D.transpose(1, 2, 0, 3)).max())
+    rows, triples = _ordered_triples(m)
+    D = (c.reshape(m * m, m)[rows] @ c.reshape(m, m * m)).reshape(-1, m)
+    x, y, w = D[triples]   # z = -w
+    return float(np.abs(np.stack([(x + y) - w, (y - w) + x, (x - w) + y])).max(initial=0.0))
+
+
+@lru_cache(maxsize=32)
+def _ordered_triples(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of ``jacobi_defect`` in dimension m, shared read-only.
+
+    ``rows`` are the rows p * m + q, p < q, of c.reshape(m * m, m), and
+    ``triples[:, t]`` the rows of D.reshape(-1, m) that hold D[a, b, c],
+    D[b, c, a] and D[a, c, b] for the t-th triple a < b < c.
+    """
+    p, q = np.triu_indices(m, 1)
+    pair = np.zeros((m, m), dtype=np.intp)
+    pair[p, q] = np.arange(p.size)
+    i = np.arange(m)
+    a, b, c = np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i))
+    tables = (p * m + q, np.stack([pair[a, b] * m + c, pair[b, c] * m + a, pair[a, c] * m + b]))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def nijenhuis_defect(mu: LieBracket) -> float:

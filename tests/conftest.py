@@ -85,6 +85,19 @@ def iwasawa_like():
     return LieBracket(c)
 
 
+def dense_jacobi(mu: LieBracket) -> float:
+    """The Jacobi maximum over the dense cyclic sum: D[a, b, c, e] = c_abd c_dce
+    as two half-size products, one per half of the first index, and the sum
+    D + D[b, c, a] + D[c, a, b] as two transposed copies of D."""
+    c = mu.coeffs
+    m = c.shape[0]
+    n = m // 2
+    right = c.reshape(m, m * m)
+    D = np.concatenate([c[:n].reshape(n * m, m) @ right,
+                        c[n:].reshape(n * m, m) @ right]).reshape(m, m, m, m)
+    return float(np.abs(D + D.transpose(2, 0, 1, 3) + D.transpose(1, 2, 0, 3)).max())
+
+
 def brute_jacobi(mu: LieBracket) -> float:
     c = mu.coeffs
     m = c.shape[0]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,14 @@ from pluriflow.hermitian_forms import (
     transform_form,
 )
 from pluriflow.bismut_ricci import rho_B
-from pluriflow.lie_core import LieBracket, adapted_frame, export_real_structure, nilpotency_step
+from pluriflow.lie_core import (
+    LieBracket,
+    adapted_frame,
+    export_real_structure,
+    jacobi_defect,
+    nilpotency_step,
+    symmetrize_bracket,
+)
 
 
 def test_levi_civita_abelian_zero(rng):
@@ -332,6 +340,49 @@ def test_curvature_path_matches_einsum_oracles(n):
         # rho_C is rounding noise around 0 here, so it is judged on rho_B's scale
         ddstar = d_mu(mu, codifferential(mu, g, fundamental_form(g))).tensor
         _assert_close(data.rho_c.tensor, rho_b + ddstar, scale=np.abs(rho_b).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curvature_traces_match_einsum_curvature(n):
+    # ricci and rho contract the connection matrices without building R;
+    # the references trace the einsum curvature.  Besides the oracle cases,
+    # random connections on random (non-Jacobi) brackets.
+    rng = np.random.default_rng(200 + n)
+    m = 2 * n
+    _, _, J_real, _ = adapted_frame(n)
+    cases = []
+    for mu, g in _oracle_cases(n):
+        cases += [(levi_civita(mu, g), mu), (bismut(mu, g)[0], mu)]
+    for _ in range(3):
+        raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        mu = LieBracket(symmetrize_bracket(raw, n), validate=False)
+        cases.append((Connection(rng.standard_normal((m, m, m))), mu))
+    for conn, mu in cases:
+        R = curvature(conn, mu)
+        ref = einsum_curvature(conn.coeffs, mu)
+        conn.coeffs[...] = 0.0   # the tensor holds its own copy
+        _assert_close(R.ricci(), np.trace(ref, axis1=0, axis2=2), rel=1e-12)
+        _assert_close(R.rho(), 0.5 * np.tensordot(ref, J_real, axes=([2, 3], [0, 1])),
+                      rel=1e-12)
+        _assert_close(R.coeffs, ref)
+
+
+def test_judgement_and_curvature_allocate_no_m4_arrays():
+    # at n = 5 an m^4 complex array takes 16 * 10^4 bytes; the Jacobi
+    # judgement and the Ricci traces stay below two of them
+    mu, g = catalog.random_2step_skt(5, 1).bracket, HermitianMetric(np.eye(5))
+    bound = 2 * 16 * (2 * mu.n) ** 4
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: jacobi_defect(mu), lambda: ricci_forms(mu, g)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < bound, f"peaks {[p // 1024 for p in peaks]} KiB"
 
 
 def test_bismut_residuals_match_einsum_oracle(monkeypatch, rng):

@@ -284,6 +284,19 @@ def test_bracket_flow_inverts_the_standard_metric_once(monkeypatch):
     assert len(traj.times) == 21 and len(inversions) == 1
 
 
+def test_metric_flow_solves_one_eigenproblem_per_accepted_state(monkeypatch):
+    # the positivity guard and the sample row of an accepted state share its
+    # smallest eigenvalue, and so do the floor and the initial row
+    mu0 = catalog.random_2step_skt(5, 3).bracket
+    g0 = HermitianMetric(np.eye(5))
+    eigvalsh = np.linalg.eigvalsh
+    calls = count_calls(monkeypatch, "eigvalsh", np.linalg)
+    traj = pluriclosed_flow(mu0, g0, IntegratorConfig(dt=1e-2, t_end=0.5, sample_every=1))
+    assert len(traj.times) == 51 and len(calls) == traj.stats["accepted_steps"] + 1
+    assert traj.monitors["min_eigenvalue"] == [
+        float(eigvalsh(s.g.matrix).min()) for s in traj.states]
+
+
 def test_decay_calibration_checks_integrability_once_per_sample(monkeypatch):
     # each of the flow's 21 samples is judged once; the calibration adds no judgement
     mu0 = catalog.random_2step_skt(3, 0).bracket

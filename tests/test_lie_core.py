@@ -6,12 +6,14 @@ from conftest import (
     abelian,
     brute_jacobi,
     brute_nijenhuis,
+    dense_jacobi,
     orthonormal_real_frame,
     random_pd_metric,
     transform_subspace,
 )
 from pluriflow import catalog
 from pluriflow.errors import SingularTransformError, ValidationError
+from pluriflow.flows import IntegratorConfig, bracket_flow
 from pluriflow.lie_core import (
     LieBracket,
     act,
@@ -110,6 +112,26 @@ def test_jacobi_defect_split_product_matches_tensordot(rng, heisenberg, inoue, s
         brackets.append(LieBracket(symmetrize_bracket(raw, n), validate=False))
     for mu in brackets:
         assert jacobi_defect(mu) == tensordot_formula(mu.coeffs)
+
+
+@given(n=st.integers(1, 6), k=st.integers(-4, 4), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_jacobi_defect_equals_dense_kernel(n, k, seed):
+    # generic brackets, far from Jacobi, over eight orders of magnitude
+    m = 2 * n
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+    mu = LieBracket(symmetrize_bracket(10.0 ** k * raw, n), validate=False)
+    assert jacobi_defect(mu) == dense_jacobi(mu)
+
+
+def test_jacobi_defect_equals_dense_kernel_along_a_bracket_flow():
+    # every sample of an n = 5 run sampled at each step, judged on the way
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.5, sample_every=1)
+    traj = bracket_flow(catalog.random_2step_skt(5, 3).bracket, cfg)
+    assert len(traj.states) == 51
+    for state in traj.states:
+        assert state.mu.jacobi == dense_jacobi(state.mu)
 
 
 def test_nilpotency_step(heisenberg, inoue):
