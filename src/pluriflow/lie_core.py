@@ -40,6 +40,7 @@ SYMMETRY_TOL = 1e-10    # antisymmetry, reality and Hermitian symmetry, relative
 KERNEL_TOL = 1e-9       # singular values below KERNEL_TOL * s_max span the center
 RANK_TOL = 1e-10        # rank cut and zero test of the lower central series
 COND_BOUND = 1e12       # largest condition number ``act`` accepts
+COMPLEX_STRUCTURE_TOL = 1e-10   # J @ J = -I (absolute) and J F = i F of a (1,0) frame F (relative)
 
 
 def bar_indices(n: int) -> np.ndarray:
@@ -352,8 +353,11 @@ def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | N
     ``c_real[i, j, k]`` is the E_k-coefficient of [E_i, E_j] in the user's
     real basis and J is the matrix of the complex structure (J @ J = -I).
     ``frame``, if given, must hold the (1,0) frame vectors as columns in
-    user real coordinates (complex entries); otherwise a deterministic
-    frame is extracted from J by pivoted selection.
+    user real coordinates (complex entries), so J @ frame = i frame.
+    Otherwise the frame is n columns of the candidate matrix (I - iJ)/2,
+    picked by column pivoting: each round takes the column of largest
+    residual norm, the lowest index among those within RANK_TOL of it, and
+    deflates it out of the rest.
 
     Returns (LieBracket, frame) with the frame actually used.
     """
@@ -364,18 +368,19 @@ def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | N
         raise ValidationError("real structure constants and J have inconsistent shapes")
     if not (np.isfinite(c_real).all() and np.isfinite(J).all()):
         raise ValidationError("structure constants and J must be finite")
-    if np.abs(J @ J + np.eye(m)).max() > 1e-10:
+    if np.abs(J @ J + np.eye(m)).max() > COMPLEX_STRUCTURE_TOL:
         raise ValidationError("J is not an almost complex structure (J^2 != -I)")
     n = m // 2
     if frame is None:
-        # Candidate (1,0) vectors (u - i J u)/2 for standard basis u; keep a
-        # maximal independent set chosen by column-pivoted QR.
+        # candidate (1,0) vectors (u - i J u)/2 for standard basis vectors u
         cand = 0.5 * (np.eye(m) - 1j * J)
-        _, _, piv = _qr_pivoted(cand)
-        frame = cand[:, piv[:n]]
+        frame = cand[:, _pivot_columns(cand, n)]
     frame = np.asarray(frame, dtype=complex)
     if frame.shape != (m, n) or not np.isfinite(frame).all():
         raise ValidationError(f"frame must be a finite array of shape ({m}, {n})")
+    scale = max(np.abs(frame).max(), 1.0)
+    if np.abs(J @ frame - 1j * frame).max() > COMPLEX_STRUCTURE_TOL * scale:
+        raise ValidationError("frame is not of type (1,0) for J (J frame != i frame)")
     M = np.concatenate([frame, np.conj(frame)], axis=1)
     if np.linalg.cond(M) > 1e10:
         raise SingularTransformError("(1,0) frame is numerically degenerate")
@@ -393,8 +398,16 @@ def export_real_structure(mu: LieBracket):
     return mu.real_structure().copy(), J_real.copy(), Sinv[:, : mu.n].copy()
 
 
-def _qr_pivoted(a: np.ndarray):
-    # scipy only here: LAPACK's tie-breaking among equal-norm pivots sets the frame
-    import scipy.linalg
-
-    return scipy.linalg.qr(a, pivoting=True)
+def _pivot_columns(a: np.ndarray, k: int) -> list[int]:
+    """The first k column pivots of a (Businger & Golub 1965), with ties
+    within RANK_TOL going to the lowest index; see ``from_real_structure``."""
+    r = np.array(a, dtype=complex)
+    piv = []
+    for _ in range(k):
+        norms = np.linalg.norm(r, axis=0)
+        norms[piv] = -1.0
+        j = int(np.argmax(norms >= (1.0 - RANK_TOL) * norms.max()))
+        q = r[:, j] / norms[j]
+        r -= np.outer(q, q.conj() @ r)
+        piv.append(j)
+    return piv

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pluriflow import catalog, cli, lie_core
 from pluriflow.bismut_ricci import Endomorphism, p_of_bracket, rho_B
@@ -424,6 +425,11 @@ def p_annihilates_center_defect(mu: LieBracket) -> float:
     if xi.dim == 0:
         return 0.0
     return float(np.abs(P @ xi.basis).max())
+
+
+def scipy_pivots(a: np.ndarray, k: int) -> list[int]:
+    """The first k column pivots of scipy's column-pivoted QR (LAPACK geqp3)."""
+    return [int(j) for j in scipy.linalg.qr(a, pivoting=True)[2][:k]]
 
 
 def export_config(cfg: dict) -> dict:

@@ -5,7 +5,8 @@ Every judgement reads one named module constant (``lie_core.SYMMETRY_TOL``,
 ``hermitian_forms.INTEGRABILITY_TOL``, ``connections.JACOBI_TOL``, ...), so a
 tolerance changes in one place and not once per call path.  No module imports
 another module's ``_name``: a check that needs sharing is public.  A metric's
-inverse is computed by ``HermitianMetric`` alone.
+inverse is computed by ``HermitianMetric`` alone.  The package runs on numpy
+alone; scipy is a test oracle.
 """
 
 import ast
@@ -96,6 +97,26 @@ def test_only_the_metric_inverts_a_metric():
                     p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 defaulted += [f"{name}: {fn.name}" for p in with_default if p.arg == "Ginv"]
     assert not defaulted, f"Ginv with a default: {', '.join(defaulted)}"
+
+
+def test_the_package_runs_on_numpy_alone():
+    # no module imports scipy, at the top or lazily, and numpy is the one
+    # runtime dependency; docstrings may still cite scipy's algorithms
+    src = Path(lie_core.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported by the package: {', '.join(found)}"
+    pyproject = (src.parents[1] / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', block) == ["numpy"]
 
 
 def _public_definitions(tree):

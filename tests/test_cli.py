@@ -377,7 +377,8 @@ def test_overflowing_beta_seed_exits_validation(tmp_path, monkeypatch, capsys, v
 
 def _non_finite_config(case):
     """A config with a non-finite or malformed number in the named place, a
-    bracket that violates the Jacobi identity, or an unknown flow kind."""
+    bracket that violates the Jacobi identity, a frame not of type (1,0) for
+    J, or an unknown flow kind."""
     if case == "unknown_flow":
         return {"algebra": {"catalog": "heisenberg_kt"}, "flow": "ricci"}
     if case == "catalog_param":
@@ -385,6 +386,17 @@ def _non_finite_config(case):
     identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     if case == "non_jacobi":   # integrable, with a Jacobi defect of order 1
         algebra = explicit_algebra(generic_integrable_bracket(np.random.default_rng(0), 2))
+        return {"algebra": algebra, "seed": {"metric": identity}}
+    if case in ("conjugate_frame", "perturbed_frame"):
+        # conj(frame) spans the (0,1) space of J and would give the bracket of
+        # -J; a perturbed frame would show up later, as a Nijenhuis defect
+        algebra = explicit_algebra(catalog.random_2step_skt(2, 4).bracket)
+        frame = np.array(algebra["frame"])
+        if case == "conjugate_frame":
+            frame[..., 1] *= -1.0
+        else:
+            frame += 0.3 * np.random.default_rng(0).standard_normal(frame.shape)
+        algebra["frame"] = frame.tolist()
         return {"algebra": algebra, "seed": {"metric": identity}}
     if case in ("structure_constants", "non_numeric_structure_constants", "ragged_J"):
         algebra = export_config({"algebra": {"catalog": "heisenberg_kt"}})
@@ -408,7 +420,8 @@ def _non_finite_config(case):
 @pytest.mark.parametrize("case", ["catalog_param", "structure_constants", "seed_metric",
                                   "ragged_metric", "non_numeric_metric", "scalar_metric",
                                   "non_numeric_structure_constants", "ragged_J",
-                                  "non_jacobi", "unknown_flow"])
+                                  "non_jacobi", "conjugate_frame", "perturbed_frame",
+                                  "unknown_flow"])
 @pytest.mark.parametrize("verb", ["run", "verify"])
 def test_non_finite_config_exits_validation(tmp_path, capsys, verb, case):
     cfg = dict(flow="pluriclosed", integrator={"dt": 1e-2, "t_end": 0.1, "sample_every": 10},
@@ -499,10 +512,21 @@ sys.exit(code)
              "flow": "bracket_gauged",
              "integrator": {"dt": 1e-2, "t_end": 0.2, "sample_every": 5}}),
     ("verify", {"algebra": {"catalog": "random_2step_skt", "params": {"n": 3, "seed": 2}}}),
-], ids=["heisenberg-pluriclosed", "solvable_2414-hs", "random-bracket_gauged", "verify"])
-def test_catalog_commands_do_not_load_scipy(tmp_path, verb, cfg):
-    # a fresh interpreter: this one has scipy loaded by other tests
+    ("run", {"algebra": "frameless", "flow": "pluriclosed",
+             "integrator": {"dt": 1e-2, "t_end": 0.2, "sample_every": 5}}),
+    ("verify", {"algebra": "frameless"}),
+], ids=["heisenberg-pluriclosed", "solvable_2414-hs", "random-bracket_gauged", "verify",
+        "structure_constants-run", "structure_constants-verify"])
+def test_commands_do_not_load_scipy(tmp_path, verb, cfg):
+    # a fresh interpreter: this one has scipy loaded by other tests.  A
+    # "frameless" algebra is given by structure constants and J alone, so
+    # its (1,0) frame is picked by column pivoting
     cfg = dict(cfg, seed="default", output={"directory": str(tmp_path / "out"), "prefix": "cold"})
+    if cfg["algebra"] == "frameless":
+        algebra = explicit_algebra(catalog.random_2step_skt(3, 2).bracket)
+        del algebra["frame"]
+        identity = np.stack([np.eye(3), np.zeros((3, 3))], axis=-1).tolist()
+        cfg.update(algebra=algebra, seed={"metric": identity})
     src = str(Path(pluriflow.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

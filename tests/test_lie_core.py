@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     abelian,
@@ -9,6 +9,7 @@ from conftest import (
     dense_jacobi,
     orthonormal_real_frame,
     random_pd_metric,
+    scipy_pivots,
     transform_subspace,
 )
 from pluriflow import catalog
@@ -287,14 +288,38 @@ def test_real_structure_round_trip(heisenberg, inoue):
         c, J, frame = export_real_structure(entry.bracket)
         mu2, _ = from_real_structure(c, J, frame)
         assert np.abs(mu2.coeffs - entry.bracket.coeffs).max() < 1e-12
+        # the (1,0) test is relative: a frame at any scale passes, and scales the bracket
+        mu3, _ = from_real_structure(c, J, 1e6 * frame)
+        assert np.abs(mu3.coeffs - 1e6 * entry.bracket.coeffs).max() < 1e-6
 
 
-def test_from_real_structure_default_frame(heisenberg):
-    c, J, _ = export_real_structure(heisenberg.bracket)
-    mu2, frame = from_real_structure(c, J)
-    assert nilpotency_step(mu2) == 2
-    assert nijenhuis_defect(mu2) < 1e-12
-    assert jacobi_defect(mu2) < 1e-12
+@given(n=st.integers(1, 5), kind=st.sampled_from(["permutation", "perturbed", "gl"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_default_frame_pivots_match_scipy(n, kind, seed):
+    # a 2-step bracket written in a user basis A^-1 E, where J = A J0 A^-1:
+    # A a permutation (exact pivot ties), the same with J perturbed at 1e-14
+    # (the ties must not move; LAPACK's choice among near-ties is rounding
+    # noise, so the oracle reads the unperturbed J), or A a GL matrix
+    rng = np.random.default_rng(seed)
+    m = 2 * n
+    mu0 = (catalog.random_2step_skt(n, 0) if n > 1 else catalog.torus(1)).bracket
+    A = rng.standard_normal((m, m)) if kind == "gl" else np.eye(m)[rng.permutation(m)]
+    assume(np.linalg.cond(A) < 1e3)
+    Ainv = np.linalg.inv(A)
+    J = A @ adapted_frame(n)[2] @ Ainv
+    c = change_frame(mu0.real_structure(), Ainv, A)
+    expected = scipy_pivots(0.5 * (np.eye(m) - 1j * J), n)
+    if kind == "perturbed":
+        J = J + 1e-14 * rng.standard_normal((m, m))
+    mu, frame = from_real_structure(c, J)
+    assert np.array_equal(frame, 0.5 * (np.eye(m) - 1j * J)[:, expected])
+    assert np.abs(J @ frame - 1j * frame).max() <= 1e-10
+    assert np.linalg.cond(np.concatenate([frame, np.conj(frame)], axis=1)) <= 1e10
+    scale = max(np.abs(mu.coeffs).max(), 1.0)
+    assert nilpotency_step(mu) == nilpotency_step(mu0)
+    assert nijenhuis_defect(mu) < 1e-11 * scale
+    assert jacobi_defect(mu) < 1e-11 * scale ** 2
 
 
 def test_heisenberg_real_bracket_is_e1e2_to_e4(heisenberg):
