@@ -34,7 +34,6 @@ from .hermitian_forms import (
     taming_margin,
 )
 from .connections import (
-    BilinearForm,
     Connection,
     CurvatureTensor,
     bismut,

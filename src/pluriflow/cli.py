@@ -27,8 +27,9 @@ sit in adjacent columns.  The summary and the ``verify`` report are strict
 JSON: a non-finite number is written as the string "nan", "inf" or "-inf".
 The PLURIFLOW_OUTDIR environment variable overrides the output directory.
 
-Exit codes: 0 success, 2 validation failure (Jacobi included, and a missing
-key or a wrong type while the config is read), 3 blow-down before t_end,
+Exit codes: 0 success, 2 validation failure (Jacobi included, a missing key
+or a wrong type while the config is read, and an output location that cannot
+be used), 3 blow-down before t_end,
 4 integrator failure (a step below dt * 2**-max_halvings needed) or a
 non-integrable bracket, 5 parse error.
 """
@@ -67,6 +68,8 @@ EXIT_VALIDATION = 2
 EXIT_BLOWDOWN = 3
 EXIT_INTEGRATOR = 4
 EXIT_PARSE = 5
+
+KAHLER_TOL = 1e-10   # |d omega| and the SKT defect below which ``verify`` reports kahler
 
 
 def _real_array(data) -> np.ndarray:
@@ -138,8 +141,7 @@ def initial_report(mu: LieBracket, seed, flow: str) -> dict:
     rep = {"jacobi_defect": mu.jacobi, "nijenhuis_defect": mu.nijenhuis,
            "skt_defect": skt_defect(mu, g)}
     if isinstance(seed, TamedForm):
-        cd = closedness_defect(mu, seed)
-        rep["closedness_defect"] = cd.defect
+        rep["closedness_defect"] = closedness_defect(mu, seed)
         rep["taming_margin"] = taming_margin(seed)
     return rep
 
@@ -257,8 +259,13 @@ def run_config(cfg: dict) -> int:
         if not isinstance(out, dict):
             raise ValidationError("output must be an object")
         outdir = os.environ.get("PLURIFLOW_OUTDIR", out.get("directory", "."))
-        prefix = out.get("prefix", "run")
-        os.makedirs(outdir, exist_ok=True)
+        stem = os.path.join(outdir, str(out.get("prefix", "run")))
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {outdir!r}: {exc.strerror}") from None
+        if not os.path.isdir(os.path.dirname(stem)):
+            raise ValidationError(f"output prefix {stem!r} is not in an existing directory")
 
     if flow == "pluriclosed":
         traj = pluriclosed_flow(mu, seed, icfg)
@@ -267,8 +274,7 @@ def run_config(cfg: dict) -> int:
     else:
         traj = hs_flow(mu, seed, icfg)
 
-    traj_path = os.path.join(outdir, f"{prefix}_trajectory.csv")
-    write_trajectory(traj_path, traj)
+    write_trajectory(f"{stem}_trajectory.csv", traj)
 
     final_names, final_vals = _state_columns(traj.final_state())
     summary = {
@@ -285,8 +291,7 @@ def run_config(cfg: dict) -> int:
         dev = closed_form_deviation(entry, flow, traj)
         if dev is not None:
             summary["closed_form_max_relative_deviation"] = dev
-    summary_path = os.path.join(outdir, f"{prefix}_summary.json")
-    with open(summary_path, "w") as fh:
+    with open(f"{stem}_summary.json", "w") as fh:
         _dump_json(summary, fh)
 
     if traj.termination == "positivity_floor":
@@ -303,7 +308,7 @@ def verify_config(cfg: dict) -> int:
     report["center_dim"] = center(mu).dim
     domega = d_mu(mu, fundamental_form(g)).max_norm()
     report["domega_norm"] = domega
-    report["kahler"] = bool(domega < 1e-10 and report["skt_defect"] < 1e-10)
+    report["kahler"] = bool(domega < KAHLER_TOL and report["skt_defect"] < KAHLER_TOL)
     fit = static_defect(mu, g, 0.0)
     report["static_fit"] = {"r_best": fit.r_best, "residual_best": fit.residual_best,
                             "defect_at_r0": fit.defect}

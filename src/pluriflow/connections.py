@@ -15,9 +15,8 @@ matrix is symmetric (g^{-1} g^T = I) and J-invariant (g^{-1} (g J)^T = -J).
 So ric[X, Y] = R[k, X, k, Y] and rho[X, Y] = R[X, Y, m, k] J[m, k] / 2 on
 the curvature coefficients R[i, j, m, l] (the E_m component of
 R(E_i, E_j) E_l).  ``curvature`` returns a ``CurvatureTensor``, which
-takes these traces (``ricci``, ``rho``) from the connection matrices
-and the structure constants and builds the 4-index coefficients only when
-they are read; ``ricci_forms`` reads only the traces.
+takes these traces (``ricci``, ``rho``) from the connection matrices and
+the structure constants and never builds the 4-index coefficients.
 
 The public functions are the kernels, and ``ricci_forms`` is composed from
 them.  ``levi_civita`` and ``bismut`` check their bracket and read its
@@ -48,7 +47,7 @@ from .hermitian_forms import (
     require_integrable,
     transform_form,
 )
-from .lie_core import Derived, LieBracket, adapted_frame, standard_j_diag
+from .lie_core import LieBracket, adapted_frame, standard_j_diag
 
 JACOBI_TOL = 1e-8            # Jacobi defect, judged by ``require_jacobi``
 BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
@@ -72,25 +71,14 @@ class CurvatureTensor:
     matrices M_i and the bracket's real structure constants c.
 
     It holds a copy of the matrices and the bracket's read-only constants.
-    ``coeffs`` is built when first read; ``ricci`` and ``rho`` contract
-    M and c directly, with one (m, m^2) @ (m^2, m) product as the largest
-    step, and build no 4-index array.
+    ``ricci`` and ``rho`` contract M and c directly, with one
+    (m, m^2) @ (m^2, m) product as the largest step; R itself is never built.
     """
 
     def __init__(self, mats: np.ndarray, c: np.ndarray):
         self._mats = np.array(mats)
         self._mats.setflags(write=False)
         self._c = c
-
-    @Derived
-    def coeffs(self) -> np.ndarray:
-        """R as two products: (M_i @ M_j)[a, c] for every (i, j), and sum_k c[i, j, k] M_k."""
-        mats, c = self._mats, self._c
-        m = c.shape[0]
-        prod = mats.reshape(m * m, m) @ mats.transpose(1, 0, 2).reshape(m, m * m)
-        comm = prod.reshape(m, m, m, m).transpose(0, 2, 1, 3)
-        lower = (c.reshape(m * m, m) @ mats.reshape(m, m * m)).reshape(m, m, m, m)
-        return comm - comm.transpose(1, 0, 2, 3) - lower
 
     def ricci(self) -> np.ndarray:
         """ric[j, l] = R[k, j, k, l] = (v M_j)[l] - sum_{k, p} (M[j, k, p] + c[p, j, k]) M[k, p, l]
@@ -114,14 +102,9 @@ class CurvatureTensor:
         return 0.5 * (P - P.T - (c.reshape(m * m, m) @ w).reshape(m, m))
 
 
-@dataclass
-class BilinearForm:
-    matrix: np.ndarray  # (2n, 2n) real
-
-
 class RicciData(NamedTuple):
-    ric_g: BilinearForm
-    ric_b: BilinearForm
+    ric_g: np.ndarray   # (2n, 2n) real Ricci tensor of the Levi-Civita connection
+    ric_b: np.ndarray   # (2n, 2n) real Ricci tensor of the Bismut connection
     rho_b_trace: InvariantForm
     rho_c: InvariantForm
 
@@ -156,19 +139,19 @@ def torsion_three_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     return InvariantForm(-scale * dw, mu.n, validate=False)
 
 
-def bismut(mu: LieBracket, g: HermitianMetric):
-    """Bismut connection ``levi_civita(mu, g)`` + (1/2) g^{-1} c and its torsion 3-form.
+def bismut(mu: LieBracket, g: HermitianMetric) -> Connection:
+    """Bismut connection ``levi_civita(mu, g)`` + (1/2) g^{-1} c, with c the
+    torsion 3-form ``torsion_three_form(mu, g)``.
 
-    Returns (Connection, c).  Raises if the defining residuals (metric
-    compatibility, J-parallelism, total skewness of the torsion) exceed
-    tolerance, which catches convention errors early.
+    Raises if the defining residuals (metric compatibility, J-parallelism,
+    total skewness of the torsion) exceed tolerance, which catches
+    convention errors early.
     """
     require_integrable(mu)
     lc = levi_civita(mu, g).coeffs
     c = mu.real_structure()
-    c_form = torsion_three_form(mu, g)
     S, _, J_real, _ = adapted_frame(mu.n)
-    c_real_t = transform_form(c_form.tensor, S)
+    c_real_t = transform_form(torsion_three_form(mu, g).tensor, S)
     if np.abs(c_real_t.imag).max() > TORSION_REALITY_TOL * max(np.abs(c_real_t).max(), 1.0):
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
@@ -185,7 +168,7 @@ def bismut(mu: LieBracket, g: HermitianMetric):
     if compat > bound or jres > bound or skew > bound:
         raise ValidationError(
             f"Bismut residuals too large (compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e})")
-    return conn, c_form
+    return conn
 
 
 def curvature(conn: Connection, mu: LieBracket) -> CurvatureTensor:
@@ -200,9 +183,8 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     ``bismut`` checks the bracket.  The Levi-Civita connection is built
     twice: inside ``bismut``, and for the Levi-Civita curvature.
     """
-    bc, _ = bismut(mu, g)
+    Rb = curvature(bismut(mu, g), mu)
     Rg = curvature(levi_civita(mu, g), mu)
-    Rb = curvature(bc, mu)
     Sinv = adapted_frame(mu.n)[1]
     rho_b_trace = InvariantForm(transform_form(Rb.rho(), Sinv), mu.n, validate=False)
 
@@ -211,8 +193,8 @@ def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:
     rho_c = rho_b_trace + ddstar
 
     return RicciData(
-        ric_g=BilinearForm(Rg.ricci()),
-        ric_b=BilinearForm(Rb.ricci()),
+        ric_g=Rg.ricci(),
+        ric_b=Rb.ricci(),
         rho_b_trace=rho_b_trace,
         rho_c=rho_c,
     )

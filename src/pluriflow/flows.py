@@ -99,6 +99,8 @@ class IntegratorConfig:
         if not (type(self.sample_every) is type(self.max_halvings) is int
                 and self.sample_every >= 1 and self.max_halvings >= 0):
             raise ValidationError("sample_every and max_halvings must be integers >= 1 and >= 0")
+        if math.ldexp(self.dt, -self.max_halvings) == 0.0:
+            raise ValidationError("the smallest step dt * 2**-max_halvings underflows to 0")
         steps = self.t_end / self.dt
         if not (math.isfinite(steps) and round(steps) >= 1
                 and abs(steps - round(steps)) <= 1e-9 * steps):
@@ -186,7 +188,7 @@ def _integrate(field: Callable, y0: np.ndarray, project: Callable,
     grid = itertools.chain(range(cfg.sample_every, nsteps + 1, cfg.sample_every),
                            [nsteps] if nsteps % cfg.sample_every else [])
     h_max = cfg.sample_every * cfg.dt
-    h_min = cfg.dt * 2.0 ** -cfg.max_halvings
+    h_min = math.ldexp(cfg.dt, -cfg.max_halvings)
     target = cfg.error_target / 10.0
     stats = {"rhs_calls": 1, "accepted_steps": 0, "rejected_steps": 0}
 
@@ -435,19 +437,19 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
     equals the smallest eigenvalue of the metric, so ``taming_margin``
     repeats ``min_eigenvalue``.
     """
-    rep0 = closedness_defect(mu0, Omega0)
-    if rep0.defect > cfg.defect_tolerances["closedness_defect"]:
-        warnings.warn(f"seed form is not closed (defect {rep0.defect:.3e}); "
+    defect0 = closedness_defect(mu0, Omega0)
+    if defect0 > cfg.defect_tolerances["closedness_defect"]:
+        warnings.warn(f"seed form is not closed (defect {defect0:.3e}); "
                       "monitoring the drift of d Omega instead")
     if taming_margin(Omega0) <= 0:
         raise ValidationError("seed form does not tame the complex structure")
 
     def channels(state: MetricState) -> dict[str, float]:
         tf = TamedForm(state.g, state.beta)
-        rep = closedness_defect(mu0, tf)
+        defect = closedness_defect(mu0, tf)
         return {
-            "closedness_defect": rep.defect,
-            "closedness_drift": abs(rep.defect - rep0.defect),
+            "closedness_defect": defect,
+            "closedness_drift": abs(defect - defect0),
             "taming_margin": taming_margin(tf),
         }
 

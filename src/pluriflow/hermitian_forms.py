@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -346,17 +345,7 @@ def taming_margin(Omega: TamedForm) -> float:
     return Omega.omega.min_eigenvalue()
 
 
-@dataclass
-class ClosednessReport:
-    defect: float          # max norm of d Omega
-    mixed_residual: float  # (2,1) + (1,2) components
-    pure_residual: float   # (3,0) + (0,3) components
-
-
-def closedness_defect(mu: LieBracket, Omega: TamedForm) -> ClosednessReport:
-    """Max norm of d Omega together with its bidegree-split residuals."""
-    d = d_mu(mu, Omega.full_form())
-    mixed = (d.bidegree_part(2, 1) + d.bidegree_part(1, 2)).max_norm()
-    pure = (d.bidegree_part(3, 0) + d.bidegree_part(0, 3)).max_norm()
-    return ClosednessReport(defect=d.max_norm(), mixed_residual=mixed, pure_residual=pure)
+def closedness_defect(mu: LieBracket, Omega: TamedForm) -> float:
+    """Max norm of d Omega."""
+    return d_mu(mu, Omega.full_form()).max_norm()
 

@@ -41,6 +41,7 @@ KERNEL_TOL = 1e-9       # singular values below KERNEL_TOL * s_max span the cent
 RANK_TOL = 1e-10        # rank cut and zero test of the lower central series
 COND_BOUND = 1e12       # largest condition number ``act`` accepts
 COMPLEX_STRUCTURE_TOL = 1e-10   # J @ J = -I (absolute) and J F = i F of a (1,0) frame F (relative)
+FRAME_COND_BOUND = 1e10  # largest condition number of [F, conj F] for a (1,0) frame F
 
 
 def bar_indices(n: int) -> np.ndarray:
@@ -310,23 +311,21 @@ def bracket_norm_sq(mu: LieBracket) -> float:
     return float(2.0 * np.sum(np.abs(mu.coeffs) ** 2))
 
 
-def principal_angles(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> np.ndarray:
-    """Principal angles between two subspaces given by (orthonormal) bases.
+def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
+    """Principal angles between two subspaces, in descending order.
 
-    Angles come in descending order.  The algorithm is the one of
-    ``scipy.linalg.subspace_angles`` (Knyazev & Argentati, SIAM J. Sci.
-    Comput. 23 (2002)): orthonormalize raw bases by SVD (a ``Subspace``
-    basis is orthonormal already and is used as given), take the singular
-    values sigma of Qa^H Qb as cosines, and for every angle whose cosine has
-    sigma^2 >= 1/2 take the arcsine of the matching singular value of the
-    residual instead, which stays accurate for tiny angles where arccos of
-    a cosine saturates around 1e-8.  scipy indexes that mask by descending
-    cosine against angles in descending order, so when some angles lie
-    above pi/4 and some below it takes the ill-conditioned branch for both
-    kinds; here each angle takes its own well-conditioned branch.
+    The algorithm is the one of ``scipy.linalg.subspace_angles`` (Knyazev &
+    Argentati, SIAM J. Sci. Comput. 23 (2002)) on the orthonormal bases Qa
+    and Qb of the subspaces: take the singular values sigma of Qa^H Qb as
+    cosines, and for every angle whose cosine has sigma^2 >= 1/2 take the
+    arcsine of the matching singular value of the residual instead, which
+    stays accurate for tiny angles where arccos of a cosine saturates around
+    1e-8.  scipy indexes that mask by descending cosine against angles in
+    descending order, so when some angles lie above pi/4 and some below it
+    takes the ill-conditioned branch for both kinds; here each angle takes
+    its own well-conditioned branch.
     """
-    qa = a.basis if isinstance(a, Subspace) else _orth(np.asarray(a, dtype=complex))
-    qb = b.basis if isinstance(b, Subspace) else _orth(np.asarray(b, dtype=complex))
+    qa, qb = a.basis, b.basis
     cross = qa.conj().T @ qb
     sigma = np.linalg.svd(cross, compute_uv=False)
     if qa.shape[1] >= qb.shape[1]:
@@ -338,13 +337,6 @@ def principal_angles(a: Subspace | np.ndarray, b: Subspace | np.ndarray) -> np.n
     sines = np.linalg.svd(resid, compute_uv=False) if small.any() else 0.0
     return np.where(small, np.arcsin(np.clip(sines, -1.0, 1.0)),
                     np.arccos(np.clip(cosines, -1.0, 1.0)))
-
-
-def _orth(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of a, by SVD (scipy.linalg.orth)."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
-    return u[:, :int(np.sum(s > tol))]
 
 
 def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | None = None):
@@ -382,7 +374,7 @@ def from_real_structure(c_real: np.ndarray, J: np.ndarray, frame: np.ndarray | N
     if np.abs(J @ frame - 1j * frame).max() > COMPLEX_STRUCTURE_TOL * scale:
         raise ValidationError("frame is not of type (1,0) for J (J frame != i frame)")
     M = np.concatenate([frame, np.conj(frame)], axis=1)
-    if np.linalg.cond(M) > 1e10:
+    if np.linalg.cond(M) > FRAME_COND_BOUND:
         raise SingularTransformError("(1,0) frame is numerically degenerate")
     Minv = np.linalg.inv(M)
     coeffs = change_frame(c_real, M, Minv)

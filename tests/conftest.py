@@ -14,7 +14,7 @@ import scipy.linalg
 
 from pluriflow import catalog, cli, lie_core
 from pluriflow.bismut_ricci import Endomorphism, p_of_bracket, rho_B
-from pluriflow.connections import BilinearForm, Connection
+from pluriflow.connections import Connection
 from pluriflow.errors import ValidationError
 from pluriflow.hermitian_forms import (
     HermitianMetric,
@@ -245,12 +245,10 @@ def is_real(form: InvariantForm) -> bool:
     return reality_defect(form) <= SYMMETRY_TOL * max(form.max_norm(), 1.0)
 
 
-def one_one_part(b: BilinearForm) -> BilinearForm:
-    """J-average: b^{1,1}(X, Y) = (b(X, Y) + b(JX, JY)) / 2."""
-    n = b.matrix.shape[0] // 2
-    _, _, J, _ = adapted_frame(n)
-    avg = 0.5 * (b.matrix + J.T @ b.matrix @ J)
-    return BilinearForm(matrix=avg)
+def one_one_part(b: np.ndarray) -> np.ndarray:
+    """J-average of a real bilinear form: b^{1,1}(X, Y) = (b(X, Y) + b(JX, JY)) / 2."""
+    _, _, J, _ = adapted_frame(b.shape[0] // 2)
+    return 0.5 * (b + J.T @ b @ J)
 
 
 def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
@@ -327,7 +325,7 @@ def gram_orthonormal(cols_real: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=1) if out else np.zeros((cols_real.shape[0], 0))
 
 
-def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> BilinearForm:
+def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> np.ndarray:
     """Riemannian Ricci tensor of a 2-step nilpotent metric algebra from the
     skew maps iota(Z) defined by g(iota(Z) X, Y) = g(mu(X, Y), Z).
 
@@ -372,7 +370,7 @@ def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> BilinearForm:
     block[:q, :q] = ric_vv
     block[q:, q:] = ric_zz
     binv = np.linalg.inv(basis)
-    return BilinearForm(matrix=binv.T @ block @ binv)
+    return binv.T @ block @ binv
 
 
 def rho_B_2step(mu: LieBracket, g: HermitianMetric) -> InvariantForm:

@@ -53,8 +53,7 @@ def test_solvable_structure(solvable):
     assert c[1, 3, :].max() == 0.0  # [Z2, Z2bar] = 0
     assert c[0, 1, 0] == pytest.approx(0.5)
     assert c[0, 3, 0] == pytest.approx(-0.5)
-    rep = closedness_defect(solvable.bracket, solvable.default_tamed)
-    assert rep.defect < 1e-14
+    assert closedness_defect(solvable.bracket, solvable.default_tamed) < 1e-14
     # displayed four-term Bismut Ricci form at (x, y, z) = (1, 1, 0.3)
     G = solvable.default_tamed.omega.matrix
     D = 1.0 - 0.09
@@ -102,10 +101,10 @@ def test_random_generator_constraints():
         assert nilpotency_step(e.bracket) <= 2
         xi = center(e.bracket)
         # J-invariance of the center: multiplication by i preserves the span
-        from pluriflow.lie_core import principal_angles, standard_j_diag
+        from pluriflow.lie_core import Subspace, principal_angles, standard_j_diag
 
-        jbasis = np.diag(standard_j_diag(3)) @ xi.basis
-        assert principal_angles(xi.basis, jbasis).max() < 1e-10
+        jbasis = Subspace(np.diag(standard_j_diag(3)) @ xi.basis)
+        assert principal_angles(xi, jbasis).max() < 1e-10
         assert skt_defect(e.bracket, e.default_metric) < 1e-10
 
 

@@ -22,7 +22,6 @@ from conftest import (
 )
 import pluriflow
 from pluriflow import catalog, cli, flows
-from pluriflow.hermitian_forms import ClosednessReport
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -138,6 +137,17 @@ def test_verify_reports(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["skt_defect"] < 1e-12
     assert rep["nilpotency_step"] is None
+
+
+def test_kahler_judgement_reads_its_constant(tmp_path, capsys, monkeypatch):
+    # the flat torus has d omega = 0 and SKT defect 0 exactly: Kahler, unless
+    # nothing lies below the tolerance
+    cfgp = write_cfg(tmp_path, "cfg.json", {"algebra": {"catalog": "torus", "params": {"n": 2}}})
+    assert cli.KAHLER_TOL == 1e-10
+    for tol, kahler in ((cli.KAHLER_TOL, True), (0.0, False)):
+        monkeypatch.setattr(cli, "KAHLER_TOL", tol)
+        assert cli.main(["verify", cfgp]) == 0
+        assert json.loads(capsys.readouterr().out)["kahler"] is kahler
 
 
 def test_catalog_listing(capsys):
@@ -334,7 +344,7 @@ def test_summary_is_strict_json_with_non_finite_values(tmp_path, monkeypatch):
     nan = float("nan")
 
     def nan_closedness(mu, Omega):
-        return ClosednessReport(defect=nan, mixed_residual=nan, pure_residual=nan)
+        return nan
 
     def overflowed_hs_flow(mu, Omega, cfg):
         traj = flows.FlowTrajectory(kind="hs", termination="step_rejected")
@@ -446,6 +456,35 @@ def test_invalid_integrator_exits_validation(tmp_path, capsys, settings):
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "heis_trajectory.csv").exists()
+
+
+def test_underflowing_smallest_step_exits_validation(tmp_path, capsys):
+    # dt * 2**-1100 is 0.0, so the controller could never give up on a step;
+    # the flat torus never rejects one, so without the check the run succeeds
+    cfg = {"algebra": {"catalog": "torus", "params": {"n": 2}}, "flow": "pluriclosed",
+           "integrator": {"dt": 1e-2, "t_end": 0.1, "sample_every": 10, "max_halvings": 1100},
+           "output": {"directory": str(tmp_path / "out"), "prefix": "torus"}}
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "underflows" in err
+    assert not (tmp_path / "out").exists()
+    cfg["integrator"]["max_halvings"] = 1000   # 1e-2 * 2**-1000 is ~9e-304
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("where", ["directory_under_a_file", "prefix_in_a_missing_directory"])
+def test_unusable_output_location_exits_validation(tmp_path, capsys, monkeypatch, where):
+    # both are found before the flow is integrated
+    flow_calls = count_calls(monkeypatch, "pluriclosed_flow", cli)
+    (tmp_path / "afile").write_text("")
+    cfg = heis_run_cfg(tmp_path, tmp_path / "afile" / "sub", t_end=1.0)
+    if where == "prefix_in_a_missing_directory":
+        cfg["output"] = {"directory": str(tmp_path), "prefix": "nodir/x"}
+    assert cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "error: invalid configuration: " in err and "Traceback" not in err
+    assert not flow_calls
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_output_block_must_be_an_object(tmp_path, capsys):

@@ -12,11 +12,12 @@ from conftest import (
     scipy_pivots,
     transform_subspace,
 )
-from pluriflow import catalog
+from pluriflow import catalog, lie_core
 from pluriflow.errors import SingularTransformError, ValidationError
 from pluriflow.flows import IntegratorConfig, bracket_flow
 from pluriflow.lie_core import (
     LieBracket,
+    Subspace,
     act,
     adapted_frame,
     bracket_norm_sq,
@@ -150,7 +151,7 @@ def test_center(heisenberg, solvable):
     expected = np.zeros((4, 2), dtype=complex)
     expected[1, 0] = 1.0
     expected[3, 1] = 1.0
-    assert principal_angles(xi.basis, expected).max() < 1e-12
+    assert principal_angles(xi, Subspace(expected)).max() < 1e-12
     assert center(solvable.bracket).dim == 1
 
 
@@ -293,6 +294,17 @@ def test_real_structure_round_trip(heisenberg, inoue):
         assert np.abs(mu3.coeffs - 1e6 * entry.bracket.coeffs).max() < 1e-6
 
 
+def test_frame_conditioning_reads_its_constant(monkeypatch, heisenberg):
+    # the adapted frame with its conjugate has condition number 1; with the
+    # bound at 0 every frame is degenerate
+    c, J, frame = export_real_structure(heisenberg.bracket)
+    assert lie_core.FRAME_COND_BOUND == 1e10
+    from_real_structure(c, J, frame)
+    monkeypatch.setattr(lie_core, "FRAME_COND_BOUND", 0.0)
+    with pytest.raises(SingularTransformError, match="degenerate"):
+        from_real_structure(c, J, frame)
+
+
 @given(n=st.integers(1, 5), kind=st.sampled_from(["permutation", "perturbed", "gl"]),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=150, deadline=None)
@@ -361,7 +373,7 @@ def test_principal_angles_match_scipy(rng):
         for db in range(1, 6):
             for _ in range(8):
                 qa, qb = _random_basis(rng, 10, da), _random_basis(rng, 10, db)
-                got = principal_angles(qa, qb)
+                got = principal_angles(Subspace(qa), Subspace(qb))
                 ref = subspace_angles(qa, qb)
                 assert got.shape == (min(da, db),)
                 assert np.all(np.abs(got - ref) <= 1e-14 * _scipy_condition(ref))
@@ -371,7 +383,7 @@ def test_principal_angles_match_scipy(rng):
             q = _random_basis(rng, 10, 2 * dim)
             qa = q[:, :dim]
             qb = qa * np.cos(theta) + q[:, dim:] * np.sin(theta)
-            got = principal_angles(qa, qb)
+            got = principal_angles(Subspace(qa), Subspace(qb))
             assert np.abs(got - subspace_angles(qa, qb)).max() <= 1e-14
             assert np.abs(got - theta).max() <= 1e-14
 
@@ -381,7 +393,7 @@ def test_principal_angles_mixed_pair_keeps_small_angle(rng):
     q = _random_basis(rng, 10, 4)
     theta = np.array([1.5, 1e-9])
     qb = q[:, :2] * np.cos(theta) + q[:, 2:] * np.sin(theta)
-    assert np.abs(principal_angles(q[:, :2], qb) - theta).max() <= 1e-15
+    assert np.abs(principal_angles(Subspace(q[:, :2]), Subspace(qb)) - theta).max() <= 1e-15
 
 
 def _random_complex(rng, *shape):
