@@ -42,7 +42,6 @@ from .connections import (
     ricci_forms,
 )
 from .bismut_ricci import (
-    Endomorphism,
     eta,
     p_of_bracket,
     p_of_metric,
@@ -52,10 +51,7 @@ from .bismut_ricci import (
 from .flows import (
     FlowTrajectory,
     IntegratorConfig,
-    backward_existence_probe,
     bracket_flow,
-    decay_calibration,
-    equivalence_check,
     hs_flow,
     pluriclosed_flow,
 )

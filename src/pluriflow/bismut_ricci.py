@@ -1,4 +1,4 @@
-"""Bismut Ricci form via the 1-form eta, and the derived endomorphisms.
+"""Bismut Ricci form via the 1-form eta, and the derived endomorphisms P.
 
 The Bismut Ricci form is rho_B = d_mu(eta) with
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     InvariantForm,
@@ -35,24 +34,6 @@ from .hermitian_forms import (
     require_integrable,
 )
 from .lie_core import LieBracket
-
-
-class Endomorphism:
-    """Endomorphism commuting with J0, stored as its holomorphic block."""
-
-    def __init__(self, matrix: np.ndarray):
-        M = np.asarray(matrix, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValidationError(f"expected a square matrix, got {M.shape}")
-        self.matrix = M
-        self.n = M.shape[0]
-
-    def frobenius_sq(self) -> float:
-        """Squared Frobenius norm of the real 2n x 2n matrix: 2 ||hol block||^2."""
-        return float(2.0 * np.sum(np.abs(self.matrix) ** 2))
-
-    def __repr__(self) -> str:
-        return f"Endomorphism(n={self.n})"
 
 
 def eta_components(coeffs: np.ndarray, G: np.ndarray, Ginv: np.ndarray) -> np.ndarray:
@@ -102,18 +83,19 @@ def rho_B(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     return InvariantForm(rho_tensor(mu.coeffs, g.matrix, g.inverse), mu.n, validate=False)
 
 
-def p_of_bracket(mu: LieBracket) -> Endomorphism:
-    """Endomorphism P with omega_0(P X, Y) = (rho_B)^{1,1}(X, Y) at the standard metric."""
+def p_of_bracket(mu: LieBracket) -> np.ndarray:
+    """The endomorphism P with omega_0(P X, Y) = (rho_B)^{1,1}(X, Y) at the
+    standard metric, as its (n, n) holomorphic block (P commutes with J0)."""
     require_integrable(mu)
     G0 = np.eye(mu.n, dtype=complex)
-    return Endomorphism(rho11_matrix(mu.coeffs, G0, G0).T)
+    return rho11_matrix(mu.coeffs, G0, G0).T
 
 
-def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> Endomorphism:
-    """Endomorphism P(omega) with omega(P X, Y) = (rho_B)^{1,1}(X, Y) for (mu0, g)."""
+def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> np.ndarray:
+    """The holomorphic block of P(omega), omega(P X, Y) = (rho_B)^{1,1}(X, Y) for (mu0, g)."""
     require_integrable(mu0)
     rho = rho11_matrix(mu0.coeffs, g.matrix, g.inverse)
-    return Endomorphism((rho @ g.inverse).T)
+    return (rho @ g.inverse).T
 
 
 @dataclass

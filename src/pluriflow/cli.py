@@ -31,7 +31,10 @@ Exit codes: 0 success, 2 validation failure (Jacobi included, a missing key
 or a wrong type while the config is read, and an output location that cannot
 be used), 3 blow-down before t_end,
 4 integrator failure (a step below dt * 2**-max_halvings needed) or a
-non-integrable bracket, 5 parse error.
+non-integrable bracket, 5 parse error.  Once the arguments parse, each exit
+from 2 to 5 prints one ``error:`` line on stderr.  A run that ends at 3 or 4
+still writes its CSV and summary, and its line names the cause and the time
+reached.
 """
 
 from __future__ import annotations
@@ -294,9 +297,16 @@ def run_config(cfg: dict) -> int:
     with open(f"{stem}_summary.json", "w") as fh:
         _dump_json(summary, fh)
 
+    t = traj.times[-1]
     if traj.termination == "positivity_floor":
+        print(f"error: blow-down at t = {t!r}: the smallest metric eigenvalue fell below "
+              f"positivity_floor = {icfg.positivity_floor!r} times its initial value",
+              file=sys.stderr)
         return EXIT_BLOWDOWN
     if traj.termination == "step_rejected":
+        print(f"error: step rejected at t = {t!r}: the controller needs a step below "
+              f"dt * 2**-max_halvings = {math.ldexp(icfg.dt, -icfg.max_halvings)!r}",
+              file=sys.stderr)
         return EXIT_INTEGRATOR
     return EXIT_OK
 

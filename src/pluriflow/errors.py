@@ -17,9 +17,5 @@ class SingularTransformError(PluriflowError):
     """Basis change matrix is singular or too badly conditioned."""
 
 
-class GridMismatchError(PluriflowError):
-    """Two trajectories were expected to share the same time grid."""
-
-
 class RejectionBudgetError(PluriflowError):
     """Random generation failed to produce an admissible sample in time."""

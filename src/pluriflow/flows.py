@@ -27,7 +27,15 @@ accepted when its error estimate, relative to the state norm, is at most
 error_target / 10; the run ends as ``step_rejected`` when the controller
 asks for a step below dt * 2**-max_halvings.  Hermitian or bracket
 symmetry is restored by exact symmetrization of every accepted state, and
-the positivity floor is checked on accepted states.
+the positivity floor is checked on accepted states.  A field value may
+overflow on the way to a rejected step, the first one included; that is
+the controller's business, so it raises no numpy warning.
+
+The module holds the flows and nothing that only a check of them needs:
+the metric/bracket equivalence check, the decay calibration of kappa and
+the backward existence probe live in ``tests/conftest.py`` and drive
+``_integrate`` and ``_metric_flow`` (whose ``direction`` reverses the
+field) directly.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError
+from .errors import ValidationError
 from .hermitian_forms import (
     HermitianMetric,
     TamedForm,
@@ -55,7 +63,6 @@ from .hermitian_forms import (
 from .bismut_ricci import p_of_bracket, p_of_metric, rho11_matrix, rho_B, rho_tensor
 from .lie_core import (
     LieBracket,
-    act,
     bracket_norm_sq,
     center,
     complexify,
@@ -195,7 +202,8 @@ def _integrate(field: Callable, y0: np.ndarray, project: Callable,
     t = t_recorded = 0.0
     y, h = y0, cfg.dt
     record(t, y)
-    k1 = field(y)
+    with np.errstate(over="ignore", invalid="ignore"):   # as in ``step``
+        k1 = field(y)
     for k in grid:
         t_sample = k * cfg.dt
         while t < t_sample:
@@ -253,7 +261,8 @@ def _metric_flow(kind: str, mu0: LieBracket, g0: HermitianMetric, beta0: np.ndar
     Hermitized (beta antisymmetrized); the run stops at the positivity floor,
     positivity_floor times the smallest eigenvalue of g0.  Every row after
     the first records a state the guard has just seen, so its
-    ``min_eigenvalue`` is the guard's.
+    ``min_eigenvalue`` is the guard's.  ``direction`` -1.0 integrates the
+    reversed field.
     """
     n, nsq = mu0.n, mu0.n ** 2
     with_beta = beta0 is not None
@@ -285,8 +294,8 @@ def _metric_flow(kind: str, mu0: LieBracket, g0: HermitianMetric, beta0: np.ndar
     return traj
 
 
-def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig,
-                     direction: float = 1.0) -> FlowTrajectory:
+def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric,
+                     cfg: IntegratorConfig) -> FlowTrajectory:
     """Integrate dg/dt = -(rho_B)^{1,1} with the bracket held fixed."""
     if g0.n != mu0.n:
         raise ValidationError("metric dimension does not match the bracket")
@@ -303,7 +312,7 @@ def pluriclosed_flow(mu0: LieBracket, g0: HermitianMetric, cfg: IntegratorConfig
             ch["reduction_defect"] = (rho_B(mu0, g) + ddstar).bidegree_part(1, 1).max_norm()
         return ch
 
-    return _metric_flow("pluriclosed", mu0, g0, None, channels, cfg, direction)
+    return _metric_flow("pluriclosed", mu0, g0, None, channels, cfg)
 
 
 def _bracket_field(n: int, with_gauge: bool) -> Callable:
@@ -367,8 +376,8 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
 
     def gauge_channel(state: BracketState) -> float:
         h = state.h
-        Pmu = p_of_bracket(state.mu).matrix
-        Pw = p_of_metric(mu0, HermitianMetric((h.conj().T @ h).T, validate=False)).matrix
+        Pmu = p_of_bracket(state.mu)
+        Pw = p_of_metric(mu0, HermitianMetric((h.conj().T @ h).T, validate=False))
         conj = h @ Pw @ np.linalg.inv(h)
         denom = max(np.abs(Pmu).max(), 1e-12)
         return float(np.abs(Pmu - conj).max() / denom)
@@ -390,39 +399,6 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
         y0 = np.concatenate([y0, np.eye(n, dtype=complex).reshape(-1)])
     traj.termination, traj.stats = _integrate(f, y0, project, None, record, cfg)
     return traj
-
-
-@dataclass
-class EquivalenceReport:
-    max_metric_defect: float
-    max_bracket_defect: float
-
-
-def equivalence_check(traj_metric: FlowTrajectory,
-                      traj_bracket_gauged: FlowTrajectory) -> EquivalenceReport:
-    """Compare omega(t) against omega_0(h., h.) and mu(t) against h . mu_0."""
-    ta = np.asarray(traj_metric.times)
-    tb = np.asarray(traj_bracket_gauged.times)
-    if len(ta) != len(tb) or np.abs(ta - tb).max() > 1e-12:
-        raise GridMismatchError("trajectories use different time grids")
-    if not isinstance(traj_metric.states[0], MetricState):
-        raise ValidationError("first trajectory must be a metric flow")
-    sb0 = traj_bracket_gauged.states[0]
-    if not isinstance(sb0, BracketState) or sb0.h is None:
-        raise ValidationError("second trajectory must be a gauged bracket flow")
-
-    mu0 = sb0.mu
-    max_g = 0.0
-    max_mu = 0.0
-    for sm, sb in zip(traj_metric.states, traj_bracket_gauged.states):
-        G = sm.g.matrix
-        h = sb.h
-        Gh = (h.conj().T @ h).T
-        max_g = max(max_g, float(np.abs(G - Gh).max() / max(np.abs(G).max(), 1e-12)))
-        transported = act(h, mu0).coeffs
-        scale = max(np.abs(sb.mu.coeffs).max(), 1e-12)
-        max_mu = max(max_mu, float(np.abs(sb.mu.coeffs - transported).max() / scale))
-    return EquivalenceReport(max_metric_defect=max_g, max_bracket_defect=max_mu)
 
 
 def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTrajectory:
@@ -454,64 +430,3 @@ def hs_flow(mu0: LieBracket, Omega0: TamedForm, cfg: IntegratorConfig) -> FlowTr
         }
 
     return _metric_flow("hs", mu0, Omega0.omega, Omega0.beta, channels, cfg)
-
-
-def backward_existence_probe(mu0: LieBracket, g0: HermitianMetric,
-                             cfg: IntegratorConfig) -> float:
-    """Integrate the pluriclosed flow backwards until the positivity floor.
-
-    Returns the (capped) backward time reached before losing positivity, a
-    strictly positive empirical lower bound for the backward existence time.
-    """
-    traj = pluriclosed_flow(mu0, g0, cfg, direction=-1.0)
-    return float(traj.times[-1])
-
-
-@dataclass
-class CalibrationReport:
-    kappa: float
-    relative_spread: float
-    samples: int
-    bound_margin: float   # max over samples of d/dt||mu||^2 + (kappa/16) ||mu||^4
-    per_run_kappa: list[float]
-
-
-def decay_calibration(seeds: list[LieBracket], cfg: IntegratorConfig) -> CalibrationReport:
-    """Estimate kappa in d/dt <mu, mu> = -kappa <P_mu, P_mu> along bracket flows.
-
-    kappa is estimated by 5-point central finite differences of the sampled
-    bracket norm; the decay bound d/dt||mu||^2 <= -(kappa/16) ||mu||^4 is then
-    checked at every interior sample using the same estimates.
-    """
-    kappas: list[float] = []
-    per_run: list[float] = []
-    derivs: list[tuple[float, float]] = []  # (fd derivative, ||mu||^2) at samples
-    fd = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    for mu0 in seeds:
-        traj = bracket_flow(mu0, cfg, with_gauge=False)
-        ts = np.asarray(traj.times)
-        if len(ts) < 5:
-            raise ValidationError("calibration needs at least five samples per run")
-        dt = float(ts[1] - ts[0])
-        if np.abs(np.diff(ts) - dt).max() > 1e-12:
-            raise ValidationError("calibration requires a uniform sample grid")
-        norms = np.asarray(traj.monitors["bracket_norm_sq"])
-        pp = np.array([p_of_bracket(s.mu).frobenius_sq() for s in traj.states])
-        run_kappas = []
-        for i in range(2, len(ts) - 2):
-            deriv = float(fd @ norms[i - 2:i + 3]) / dt
-            derivs.append((deriv, float(norms[i])))
-            if pp[i] < 1e-14:
-                continue
-            kappa_i = -deriv / pp[i]
-            run_kappas.append(kappa_i)
-            kappas.append(kappa_i)
-        if run_kappas:
-            per_run.append(float(np.mean(run_kappas)))
-    if not kappas:
-        raise ValidationError("no usable calibration samples (seeds may be abelian)")
-    kappa = float(np.mean(kappas))
-    spread = float(np.std(kappas) / abs(kappa))
-    bound_margin = max(d + (kappa / 16.0) * m * m for d, m in derivs)
-    return CalibrationReport(kappa=kappa, relative_spread=spread, samples=len(kappas),
-                             bound_margin=float(bound_margin), per_run_kappa=per_run)

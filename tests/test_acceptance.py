@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    backward_existence_probe,
+    decay_calibration,
     eberlein_oracle,
+    equivalence_check,
     gram_orthonormal,
     one_one_part,
     random_pd_metric,
@@ -21,10 +24,7 @@ from pluriflow.bismut_ricci import rho_B
 from pluriflow.connections import ricci_forms
 from pluriflow.flows import (
     IntegratorConfig,
-    backward_existence_probe,
     bracket_flow,
-    decay_calibration,
-    equivalence_check,
     hs_flow,
     pluriclosed_flow,
 )

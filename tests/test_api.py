@@ -73,6 +73,26 @@ def test_no_private_name_crosses_modules():
     assert not found, f"private names imported across modules: {', '.join(found)}"
 
 
+def test_every_import_is_read():
+    # a name a module imports and never reads is left behind by a move;
+    # __future__ is exempt, and so is __init__, whose imports are its exports
+    src = Path(lie_core.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert not unread, f"imported and never read: {', '.join(unread)}"
+
+
 def _inv_calls(tree):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute) and node.func.attr == "inv"]

@@ -178,15 +178,15 @@ def test_p_of_bracket_center_family():
     for z in (-0.5, 0.3 + 0.4j):
         mu = center_family_bracket(z)
         P = p_of_bracket(mu)
-        assert P.matrix[0, 0] == pytest.approx(-2 * abs(z) ** 2, rel=1e-13)
-        assert abs(P.matrix[0, 1]) + abs(P.matrix[1, 0]) + abs(P.matrix[1, 1]) < 1e-14
-    assert np.abs(p_of_bracket(abelian()).matrix).max() == 0.0
+        assert P[0, 0] == pytest.approx(-2 * abs(z) ** 2, rel=1e-13)
+        assert abs(P[0, 1]) + abs(P[1, 0]) + abs(P[1, 1]) < 1e-14
+    assert np.abs(p_of_bracket(abelian())).max() == 0.0
 
 
 def test_p_properties(rng, heisenberg):
     mu = heisenberg.bracket
     P = p_of_bracket(mu)
-    full = complexify(P.matrix)
+    full = complexify(P)
     n = mu.n
     jd = np.diag(standard_j_diag(n))
     assert np.abs(full @ jd - jd @ full).max() < 1e-13          # commutes with J0
@@ -202,10 +202,10 @@ def test_p_properties(rng, heisenberg):
 
 def test_p_of_metric_identity_matches_bracket(heisenberg):
     mu = heisenberg.bracket
-    a = p_of_bracket(mu).matrix
-    b = p_of_metric(mu, HermitianMetric(np.eye(2))).matrix
+    a = p_of_bracket(mu)
+    b = p_of_metric(mu, HermitianMetric(np.eye(2)))
     assert np.abs(a - b).max() < 1e-14
-    assert np.abs(p_of_metric(abelian(), HermitianMetric(np.eye(2))).matrix).max() == 0.0
+    assert np.abs(p_of_metric(abelian(), HermitianMetric(np.eye(2)))).max() == 0.0
 
 
 def test_p_conjugation_identity_diag(heisenberg):
@@ -214,8 +214,8 @@ def test_p_conjugation_identity_diag(heisenberg):
     x = 1.8
     h = np.diag([np.sqrt(x), 1.0]).astype(complex)
     G = (h.conj().T @ h).T
-    Pw = p_of_metric(mu0, HermitianMetric(G)).matrix
-    Pm = p_of_bracket(act(h, mu0)).matrix
+    Pw = p_of_metric(mu0, HermitianMetric(G))
+    Pm = p_of_bracket(act(h, mu0))
     assert np.abs(Pm - h @ Pw @ np.linalg.inv(h)).max() < 1e-10
 
 
@@ -231,8 +231,8 @@ def test_p_conjugation_identity_random(rng):
             h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h += 2.0 * np.eye(n)
             G = (h.conj().T @ h).T
-            Pw = p_of_metric(mu0, HermitianMetric(G)).matrix
-            Pm = p_of_bracket(act(h, mu0)).matrix
+            Pw = p_of_metric(mu0, HermitianMetric(G))
+            Pm = p_of_bracket(act(h, mu0))
             scale = max(np.abs(Pm).max(), 1e-12)
             assert np.abs(Pm - h @ Pw @ np.linalg.inv(h)).max() < 1e-10 * max(scale, 1.0)
             count += 1

@@ -169,7 +169,7 @@ def test_round_trip_export_reingest(tmp_path, capsys):
         assert rep_a[key] == rep_b[key]
 
 
-def test_run_integrator_failure_exit_code(tmp_path):
+def test_run_integrator_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = heis_run_cfg(tmp_path, out, t_end=1.0)
     cfg["integrator"]["error_target"] = 1e-30
@@ -178,9 +178,35 @@ def test_run_integrator_failure_exit_code(tmp_path):
     assert rc == cli.EXIT_INTEGRATOR
     summary = json.loads((out / "heis_summary.json").read_text())
     assert summary["termination"] == "step_rejected"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: step rejected at t = {summary['t_final']!r}: the controller needs "
+        "a step below dt * 2**-max_halvings = 0.005"]
 
 
-def test_run_blowdown_exit_code(tmp_path):
+def test_overflowing_run_explains_itself(tmp_path, capsys):
+    # Heisenberg scaled by 1e120: the first field value already overflows and
+    # every trial step is rejected, so the run ends at t = 0 with one error
+    # line and no numpy warning
+    algebra = explicit_algebra(catalog.heisenberg_kt().bracket)
+    algebra["structure_constants"] = (1e120 * np.asarray(algebra["structure_constants"])).tolist()
+    out = tmp_path / "out"
+    cfg = {"algebra": algebra, "flow": "bracket",
+           "seed": {"metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+           "integrator": {"dt": 1e-2, "t_end": 1.0, "sample_every": 10, "max_halvings": 16},
+           "output": {"directory": str(out), "prefix": "big"}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["run", write_cfg(tmp_path, "cfg.json", cfg)])
+    assert rc == cli.EXIT_INTEGRATOR
+    assert capsys.readouterr().err.splitlines() == [
+        "error: step rejected at t = 0.0: the controller needs a step below "
+        "dt * 2**-max_halvings = 1.52587890625e-07"]
+    summary = json.loads((out / "big_summary.json").read_text())
+    assert summary["termination"] == "step_rejected" and summary["t_final"] == 0.0
+    assert len((out / "big_trajectory.csv").read_text().splitlines()) == 2
+
+
+def test_run_blowdown_exit_code(tmp_path, capsys):
     # backwards-in-time seed: shrink the metric until the floor by flowing a
     # metric whose evolution decreases x; use hs flow taming loss instead is
     # hard to trigger, so emulate blow-down with a tiny t_end... the reliable
@@ -194,6 +220,9 @@ def test_run_blowdown_exit_code(tmp_path):
     assert rc == cli.EXIT_BLOWDOWN
     summary = json.loads((out / "heis_summary.json").read_text())
     assert summary["termination"] == "positivity_floor"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: blow-down at t = {summary['t_final']!r}: the smallest metric eigenvalue "
+        "fell below positivity_floor = 2.0 times its initial value"]
 
 
 # the state columns of each flow kind, in CSV order

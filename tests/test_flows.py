@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 from conftest import (
+    GridMismatchError,
     StepRejectedError,
     abelian,
+    backward_existence_probe,
     count_calls,
     count_defects,
+    decay_calibration,
+    equivalence_check,
     non_integrable_bracket,
     random_pd_metric,
     rk4_doubling_step,
 )
 from pluriflow import catalog, flows
-from pluriflow.errors import GridMismatchError, IntegrabilityError, ValidationError
+from pluriflow.errors import IntegrabilityError, ValidationError
 from pluriflow.flows import (
     IntegratorConfig,
-    backward_existence_probe,
     bracket_flow,
-    decay_calibration,
-    equivalence_check,
     hs_flow,
     pluriclosed_flow,
     step,
@@ -28,6 +29,7 @@ from pluriflow.flows import (
     _hermitize,
     _integrate,
     _metric_field,
+    _metric_flow,
 )
 from pluriflow.hermitian_forms import HermitianMetric, TamedForm, require_integrable, skt_defect
 from pluriflow.lie_core import act, bracket_norm_sq, symmetrize_bracket
@@ -298,12 +300,13 @@ def test_metric_flow_solves_one_eigenproblem_per_accepted_state(monkeypatch):
 
 
 def test_decay_calibration_checks_integrability_once_per_sample(monkeypatch):
-    # each of the flow's 21 samples is judged once; the calibration adds no judgement
+    # p_of_bracket judges each of the run's 21 samples once; no calibration
+    # quantity reads the Jacobi defect, so it is not computed
     mu0 = catalog.random_2step_skt(3, 0).bracket
     jacobi, nijenhuis = count_defects(monkeypatch)
     cfg = IntegratorConfig(dt=1e-2, t_end=0.2, sample_every=1)
     rep = decay_calibration([mu0], cfg)
-    assert rep.samples == 17 and len(jacobi) == len(nijenhuis) == 21
+    assert rep.samples == 17 and len(nijenhuis) == 21 and not jacobi
 
 
 def test_bracket_flow_raises_on_non_integrable_state():
@@ -550,7 +553,8 @@ def test_stats_count_field_calls(heisenberg, monkeypatch):
 def test_step_rejected_keeps_last_accepted_state(heisenberg):
     # backwards, x = sqrt(1 - t) blows down at t = 1, below the positivity floor's reach
     cfg = IntegratorConfig(dt=1e-2, t_end=5.0, sample_every=50)
-    traj = pluriclosed_flow(heisenberg.bracket, HermitianMetric(np.eye(2)), cfg, direction=-1.0)
+    traj = _metric_flow("pluriclosed", heisenberg.bracket, HermitianMetric(np.eye(2)), None,
+                        lambda state: {}, cfg, direction=-1.0)
     assert traj.termination == "step_rejected"
     assert traj.times[-2] == 0.5 and 0.99 < traj.times[-1] < 1.0
     x = traj.final_state().g.matrix[0, 0].real
