@@ -9,7 +9,6 @@ reference algebras (catalog) and a batch CLI (cli).
 
 from .lie_core import (
     LieBracket,
-    Subspace,
     act,
     bracket_norm_sq,
     center,
@@ -34,7 +33,6 @@ from .hermitian_forms import (
     taming_margin,
 )
 from .connections import (
-    Connection,
     CurvatureTensor,
     bismut,
     curvature,

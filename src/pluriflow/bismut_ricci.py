@@ -23,8 +23,6 @@ sqrt(1 + t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hermitian_forms import (
@@ -98,20 +96,15 @@ def p_of_metric(mu0: LieBracket, g: HermitianMetric) -> np.ndarray:
     return (rho @ g.inverse).T
 
 
-@dataclass
-class StaticFit:
-    defect: float      # max norm of r*omega - (rho_B)^{1,1} at the given r
-    r_best: float      # least squares rate
-    residual_best: float
-
-
-def static_defect(mu: LieBracket, g: HermitianMetric, r: float) -> StaticFit:
-    """Distance of (g, rho_B) from the static condition r*omega = (rho_B)^{1,1}."""
+def static_defect(mu: LieBracket, g: HermitianMetric, r: float) -> tuple[float, float, float]:
+    """Distance of (g, rho_B) from the static condition r*omega = (rho_B)^{1,1}:
+    (max norm of r*omega - (rho_B)^{1,1}, the least squares rate r_best,
+    the max norm of the residual at r_best)."""
     omega = fundamental_form(g).tensor
     rho11 = rho_B(mu, g).bidegree_part(1, 1).tensor
     defect = float(np.abs(r * omega - rho11).max())
     denom = float(np.sum(np.abs(omega) ** 2))
     r_best = float(np.sum(rho11 * np.conj(omega)).real / denom)
     residual = float(np.abs(r_best * omega - rho11).max())
-    return StaticFit(defect=defect, r_best=r_best, residual_best=residual)
+    return defect, r_best, residual
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import RejectionBudgetError, ValidationError
 from .hermitian_forms import HermitianMetric, TamedForm, skt_defect
-from .lie_core import LieBracket, act, symmetrize_bracket
+from .lie_core import LieBracket, act
 
 
 @dataclass
@@ -263,13 +263,12 @@ def torus(n: int) -> CatalogEntry:
     )
 
 
-def random_2step_skt(n: int, seed: int, center_dim: int | None = None) -> CatalogEntry:
+def random_2step_skt(n: int, seed: int) -> CatalogEntry:
     """Random 2-step nilpotent SKT bracket with J-invariant center.
 
-    Construction: the designated center spans the last ``center_dim``
-    complex directions; for each central direction e the mixed bracket
-    block is a Hermitian rank-one matrix V_e = lambda w w*, giving
-    mu(Z_a, Z_cbar) = sum_e V_e[a, c] (Z_e - Z_ebar) with no (1,0)x(1,0)
+    Construction: the designated center is the last complex direction e;
+    the mixed bracket block is a Hermitian rank-one matrix V = lambda w w*,
+    giving mu(Z_a, Z_cbar) = V[a, c] (Z_e - Z_ebar) with no (1,0)x(1,0)
     component.  Such brackets satisfy Jacobi, integrability and the
     pluriclosed condition for the standard metric identically; a final
     random unitary change of frame adds genericity without breaking any
@@ -280,21 +279,17 @@ def random_2step_skt(n: int, seed: int, center_dim: int | None = None) -> Catalo
     if n < 2:
         raise ValidationError("random_2step_skt needs n >= 2")
     rng = np.random.default_rng(seed)
-    m = center_dim if center_dim is not None else 1
-    if not 1 <= m < n:
-        raise ValidationError("center_dim must be in [1, n)")
-    k = n - m
+    k = n - 1
     budget = 64
     for _ in range(budget):
+        w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        lam = rng.standard_normal()
+        V = lam * np.outer(w, w.conj())
         coeffs = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
-        for e in range(k, n):
-            w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            lam = rng.standard_normal()
-            V = lam * np.outer(w, w.conj())
-            coeffs[:k, n:n + k, e] = V
-            coeffs[:k, n:n + k, n + e] = -np.conj(V.T)
-        coeffs = coeffs - coeffs.transpose(1, 0, 2)
-        mu = LieBracket(symmetrize_bracket(coeffs, n), validate=False)
+        coeffs[:k, n:n + k, k] = V
+        coeffs[:k, n:n + k, n + k] = -np.conj(V.T)
+        # V and -conj(V.T) make this exactly antisymmetric and real-symmetric
+        mu = LieBracket(coeffs - coeffs.transpose(1, 0, 2), validate=False)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         mu = act(q, mu)
         g0 = HermitianMetric(np.eye(n))

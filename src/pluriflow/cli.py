@@ -101,8 +101,7 @@ def _strict_json(obj):
 
 
 def _dump_json(obj, fh) -> None:
-    json.dump(_strict_json(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-    fh.write("\n")
+    fh.write(json.dumps(_strict_json(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_algebra(spec: dict) -> tuple[LieBracket, catalog.CatalogEntry | None]:
@@ -315,13 +314,13 @@ def verify_config(cfg: dict) -> int:
     mu, _, _, seed, report = _load(cfg)
     g = seed.omega if isinstance(seed, TamedForm) else seed
     report["nilpotency_step"] = nilpotency_step(mu)
-    report["center_dim"] = center(mu).dim
+    report["center_dim"] = center(mu).shape[1]
     domega = d_mu(mu, fundamental_form(g)).max_norm()
     report["domega_norm"] = domega
     report["kahler"] = bool(domega < KAHLER_TOL and report["skt_defect"] < KAHLER_TOL)
-    fit = static_defect(mu, g, 0.0)
-    report["static_fit"] = {"r_best": fit.r_best, "residual_best": fit.residual_best,
-                            "defect_at_r0": fit.defect}
+    defect, r_best, residual_best = static_defect(mu, g, 0.0)
+    report["static_fit"] = {"r_best": r_best, "residual_best": residual_best,
+                            "defect_at_r0": defect}
     _dump_json(report, sys.stdout)
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 """Levi-Civita and Bismut connections, their curvature and Ricci objects.
 
-Connections are stored over the real adapted basis {E_1..E_2n} as tensors
-Gamma[i, j, k] with nabla_{E_i} E_j = Gamma[i, j, k] E_k.  The Bismut
-connection is built as nabla^g + (1/2) g^{-1} c with torsion 3-form
+A connection is the plain (2n, 2n, 2n) array Gamma over the real adapted
+basis {E_1..E_2n}, with nabla_{E_i} E_j = Gamma[i, j, k] E_k, so the matrix
+of nabla_{E_i} is Gamma[i].T.  The Bismut connection is built as
+nabla^g + (1/2) g^{-1} c with torsion 3-form
 c(X, Y, Z) = -d omega(JX, JY, JZ); its defining properties (metric,
 J-parallel, totally skew torsion) are verified at construction and raise
 if violated, which pins the sign conventions.
@@ -32,7 +33,6 @@ search runs per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,17 +52,6 @@ from .lie_core import LieBracket, adapted_frame, standard_j_diag
 JACOBI_TOL = 1e-8            # Jacobi defect, judged by ``require_jacobi``
 BISMUT_TOL = 1e-8            # Bismut residuals, relative to max(|Gamma|, 1)
 TORSION_REALITY_TOL = 1e-9   # imaginary part of the real torsion 3-form, relative
-
-
-@dataclass
-class Connection:
-    """Left-invariant connection over the real adapted basis."""
-
-    coeffs: np.ndarray  # (2n, 2n, 2n), nabla_{E_i} E_j = coeffs[i, j, k] E_k
-
-    def matrices(self) -> np.ndarray:
-        """Stack of the nabla_{E_i} matrices, shape (2n, 2n, 2n) as [i, row, col]."""
-        return self.coeffs.transpose(0, 2, 1)
 
 
 class CurvatureTensor:
@@ -109,7 +98,7 @@ class RicciData(NamedTuple):
     rho_c: InvariantForm
 
 
-def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
+def levi_civita(mu: LieBracket, g: HermitianMetric) -> np.ndarray:
     """Koszul formula for left-invariant metrics:
 
     2 g(nabla_X Y, Z) = g(mu(X,Y), Z) - g(mu(Y,Z), X) + g(mu(Z,X), Y),
@@ -122,7 +111,7 @@ def levi_civita(mu: LieBracket, g: HermitianMetric) -> Connection:
     m = c.shape[0]
     X = (c.reshape(m * m, m) @ g.gram).reshape(m, m, m)
     rhs = 0.5 * (X - X.transpose(2, 0, 1) + X.transpose(1, 2, 0))
-    return Connection(coeffs=rhs @ g.gram_inverse.T)
+    return rhs @ g.gram_inverse.T
 
 
 def require_jacobi(mu: LieBracket) -> None:
@@ -139,7 +128,7 @@ def torsion_three_form(mu: LieBracket, g: HermitianMetric) -> InvariantForm:
     return InvariantForm(-scale * dw, mu.n, validate=False)
 
 
-def bismut(mu: LieBracket, g: HermitianMetric) -> Connection:
+def bismut(mu: LieBracket, g: HermitianMetric) -> np.ndarray:
     """Bismut connection ``levi_civita(mu, g)`` + (1/2) g^{-1} c, with c the
     torsion 3-form ``torsion_three_form(mu, g)``.
 
@@ -148,7 +137,7 @@ def bismut(mu: LieBracket, g: HermitianMetric) -> Connection:
     convention errors early.
     """
     require_integrable(mu)
-    lc = levi_civita(mu, g).coeffs
+    lc = levi_civita(mu, g)
     c = mu.real_structure()
     S, _, J_real, _ = adapted_frame(mu.n)
     c_real_t = transform_form(torsion_three_form(mu, g).tensor, S)
@@ -156,11 +145,10 @@ def bismut(mu: LieBracket, g: HermitianMetric) -> Connection:
         raise ValidationError("torsion 3-form is not real")
     c_real = c_real_t.real
     gamma = lc + 0.5 * (c_real @ g.gram_inverse.T)
-    conn = Connection(coeffs=gamma)
 
     scale = max(np.abs(gamma).max(), 1.0)
-    mats = conn.matrices()
-    compat = np.abs(mats.transpose(0, 2, 1) @ g.gram + g.gram @ mats).max()
+    mats = gamma.transpose(0, 2, 1)
+    compat = np.abs(gamma @ g.gram + g.gram @ mats).max()
     jres = np.abs(mats @ J_real - J_real @ mats).max()
     torsion = gamma - gamma.transpose(1, 0, 2) - c
     skew = np.abs((torsion @ g.gram).transpose(2, 0, 1) - c_real).max()
@@ -168,12 +156,12 @@ def bismut(mu: LieBracket, g: HermitianMetric) -> Connection:
     if compat > bound or jres > bound or skew > bound:
         raise ValidationError(
             f"Bismut residuals too large (compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e})")
-    return conn
+    return gamma
 
 
-def curvature(conn: Connection, mu: LieBracket) -> CurvatureTensor:
+def curvature(gamma: np.ndarray, mu: LieBracket) -> CurvatureTensor:
     """R(X, Y) = [nabla_X, nabla_Y] - nabla_{mu(X, Y)} on the real basis."""
-    return CurvatureTensor(conn.matrices(), mu.real_structure())
+    return CurvatureTensor(gamma.transpose(0, 2, 1), mu.real_structure())
 
 
 def ricci_forms(mu: LieBracket, g: HermitianMetric) -> RicciData:

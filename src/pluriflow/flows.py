@@ -366,9 +366,9 @@ def bracket_flow(mu0: LieBracket, cfg: IntegratorConfig,
             "skt_defect": skt_defect(mu, g0),
         }
         xi = center(mu)
-        if xi.dim != xi0.dim:
+        if xi.shape[1] != xi0.shape[1]:
             ch["center_principal_angle"] = float(np.pi / 2.0)
-        elif xi.dim == 0 or xi.dim == 2 * n:
+        elif xi.shape[1] in (0, 2 * n):
             ch["center_principal_angle"] = 0.0
         else:
             ch["center_principal_angle"] = float(principal_angles(xi, xi0).max())

@@ -211,9 +211,11 @@ def d_mu_tensor(m: np.ndarray, T: np.ndarray, n: int) -> np.ndarray:
     as moving slots i < j to the front has sign (-1)^(i+j-1).  ``m`` is a
     structure tensor in the same frame as ``T``; valid in any frame.
     """
+    dim = 2 * n
     if T.ndim == 0:
-        return np.zeros(2 * n, dtype=np.result_type(m, T, complex))
-    return _shuffle(np.tensordot(-m, T, axes=([2], [0])), 2)
+        return np.zeros(dim, dtype=np.result_type(m, T, complex))
+    C = (-m).reshape(dim * dim, dim) @ T.reshape(dim, -1)
+    return _shuffle(C.reshape((dim,) * (T.ndim + 1)), 2)
 
 
 def d_mu(mu: LieBracket, form: InvariantForm) -> InvariantForm:
@@ -283,11 +285,12 @@ def codifferential(mu: LieBracket, g: HermitianMetric, form: InvariantForm) -> I
     n = mu.n
     if r == 1:
         return InvariantForm(np.zeros((), dtype=complex), n, validate=False)
-    K = _slot_metric(g)
-    up = np.tensordot(np.tensordot(form.tensor, K, axes=([0], [0])), K, axes=([0], [0]))
-    W = np.tensordot(np.conj(mu.coeffs), up, axes=([0, 1], [r - 2, r - 1]))
-    W = np.tensordot(complexify(np.conj(g.matrix)), W, axes=([0], [0]))
-    return InvariantForm(-0.5 * _shuffle(W, 1), n, validate=False)
+    m, K = 2 * n, _slot_metric(g)
+    # raise the two leading slots, which move to the back
+    up = (form.tensor.reshape(m, -1).T @ K).reshape(m, -1).T @ K
+    W = np.conj(mu.coeffs).reshape(m * m, m).T @ up.reshape(-1, m * m).T
+    W = complexify(np.conj(g.matrix)).T @ W
+    return InvariantForm(-0.5 * _shuffle(W.reshape((m,) * (r - 1)), 1), n, validate=False)
 
 
 def skt_defect(mu: LieBracket, g: HermitianMetric) -> float:

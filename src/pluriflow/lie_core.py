@@ -29,7 +29,6 @@ pairs of real adapted basis vectors, treating {E_i} as orthonormal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -185,17 +184,6 @@ class LieBracket:
         return f"LieBracket(n={self.n}, nonzeros={nz})"
 
 
-@dataclass
-class Subspace:
-    """Subspace of the complexified algebra, columns of ``basis`` orthonormal."""
-
-    basis: np.ndarray  # (2n, dim) complex, orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 def jacobi_defect(mu: LieBracket) -> float:
     """Max norm of mu(mu(X, Y), Z) + cyclic over complexified basis triples.
 
@@ -279,14 +267,13 @@ def nilpotency_step(mu: LieBracket) -> int | None:
     return None
 
 
-def center(mu: LieBracket) -> Subspace:
-    """Kernel of X -> mu(X, .) via SVD of the stacked bracket matrix."""
+def center(mu: LieBracket) -> np.ndarray:
+    """Kernel of X -> mu(X, .) via SVD of the stacked bracket matrix, as an
+    orthonormal (2n, k) basis of the complexified center."""
     m = mu.dim
     M = mu.coeffs.transpose(1, 2, 0).reshape(m * m, m)
     _, s, vh = np.linalg.svd(M, full_matrices=False)
-    mask = s <= KERNEL_TOL * s[0]
-    basis = vh.conj().T[:, mask]
-    return Subspace(basis)
+    return vh.conj().T[:, s <= KERNEL_TOL * s[0]]
 
 
 def act(h: np.ndarray, mu: LieBracket) -> LieBracket:
@@ -311,8 +298,8 @@ def bracket_norm_sq(mu: LieBracket) -> float:
     return float(2.0 * np.sum(np.abs(mu.coeffs) ** 2))
 
 
-def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """Principal angles between two subspaces, in descending order.
+def principal_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of two orthonormal bases, in descending order.
 
     The algorithm is the one of ``scipy.linalg.subspace_angles`` (Knyazev &
     Argentati, SIAM J. Sci. Comput. 23 (2002)) on the orthonormal bases Qa
@@ -325,7 +312,6 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     takes the ill-conditioned branch for both kinds; here each angle takes
     its own well-conditioned branch.
     """
-    qa, qb = a.basis, b.basis
     cross = qa.conj().T @ qb
     sigma = np.linalg.svd(cross, compute_uv=False)
     if qa.shape[1] >= qb.shape[1]:

@@ -14,11 +14,12 @@ import scipy.linalg
 
 from pluriflow import catalog, cli, flows, lie_core
 from pluriflow.bismut_ricci import p_of_bracket, rho_B
-from pluriflow.connections import Connection
 from pluriflow.errors import ValidationError
 from pluriflow.hermitian_forms import (
     HermitianMetric,
     InvariantForm,
+    _shuffle,
+    _slot_metric,
     big_bilinear,
     d_mu,
     form_inner,
@@ -30,7 +31,6 @@ from pluriflow.lie_core import (
     KERNEL_TOL,
     SYMMETRY_TOL,
     LieBracket,
-    Subspace,
     act,
     adapted_frame,
     bracket_norm_sq,
@@ -230,11 +230,27 @@ def transport_metric(h: np.ndarray, g: HermitianMetric) -> HermitianMetric:
     return HermitianMetric(hinv.T @ g.matrix @ hinv.conj())
 
 
-def transform_subspace(h: np.ndarray, sub: Subspace) -> Subspace:
-    """Image of a subspace under the complexified action of h in GL(n, C)."""
-    img = complexify(h) @ sub.basis
-    q, _ = np.linalg.qr(img)
-    return Subspace(q)
+def transform_subspace(h: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the image of span(basis) under the complexified action of h."""
+    q, _ = np.linalg.qr(complexify(h) @ basis)
+    return q
+
+
+def two_step_skt_bracket(n: int, m: int, seed: int) -> LieBracket:
+    """Random 2-step SKT bracket whose center holds the last m complex
+    directions: ``catalog.random_2step_skt``'s construction, there with m = 1,
+    with a rank-one block lambda_e w_e w_e* for each central direction e."""
+    rng = np.random.default_rng(seed)
+    k = n - m
+    coeffs = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
+    for e in range(k, n):
+        w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        lam = rng.standard_normal()
+        V = lam * np.outer(w, w.conj())
+        coeffs[:k, n:n + k, e] = V
+        coeffs[:k, n:n + k, n + e] = -np.conj(V.T)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return act(q, LieBracket(coeffs - coeffs.transpose(1, 0, 2)))
 
 
 def reality_defect(form: InvariantForm) -> float:
@@ -253,9 +269,9 @@ def one_one_part(b: np.ndarray) -> np.ndarray:
     return 0.5 * (b + J.T @ b @ J)
 
 
-def torsion_tensor(conn: Connection, mu: LieBracket) -> np.ndarray:
-    """T[i, j, k]: the E_k component of T(E_i, E_j)."""
-    return conn.coeffs - conn.coeffs.transpose(1, 0, 2) - mu.real_structure()
+def torsion_tensor(gamma: np.ndarray, mu: LieBracket) -> np.ndarray:
+    """T[i, j, k]: the E_k component of T(E_i, E_j) for the connection gamma."""
+    return gamma - gamma.transpose(1, 0, 2) - mu.real_structure()
 
 
 def real_matrix(P: np.ndarray) -> np.ndarray:
@@ -343,7 +359,7 @@ def eberlein_oracle(mu: LieBracket, g: HermitianMetric) -> np.ndarray:
     xi = center(mu)
     _, Sinv, _, _ = adapted_frame(mu.n)
     # real span of the (conjugation-stable) center
-    rc = Sinv @ xi.basis if xi.dim else np.zeros((m, 0))
+    rc = Sinv @ xi
     cand = np.concatenate([rc.real, rc.imag], axis=1)
     Z = gram_orthonormal(cand, gram)
     p = Z.shape[1]
@@ -423,9 +439,9 @@ def p_annihilates_center_defect(mu: LieBracket) -> float:
     """Max norm of P_mu applied to an orthonormal basis of the center."""
     P = complexify(p_of_bracket(mu))
     xi = center(mu)
-    if xi.dim == 0:
+    if xi.shape[1] == 0:
         return 0.0
-    return float(np.abs(P @ xi.basis).max())
+    return float(np.abs(P @ xi).max())
 
 
 # Checks of the flow theorems: the pluriclosed flow is a gauged bracket flow,
@@ -615,6 +631,21 @@ def frame_codifferential(mu: LieBracket, g: HermitianMetric, T: np.ndarray) -> n
     mu_u = np.einsum("ia,jb,ijk,ck->abc", U, U, mu.coeffs, Uinv)
     W = np.tensordot(np.conj(mu_u), _to_frame(T, U), axes=([0, 1], [0, 1]))
     return _to_frame(-alt(W) / (2 * math.factorial(r - 2)), Uinv)
+
+
+def tensordot_d_mu(m: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``d_mu_tensor`` of a form of degree >= 1 with its product as one ``np.tensordot``."""
+    return _shuffle(np.tensordot(-m, T, axes=([2], [0])), 2)
+
+
+def tensordot_codifferential(mu: LieBracket, g: HermitianMetric, T: np.ndarray) -> np.ndarray:
+    """``codifferential`` of an r-form (r >= 2) with its four products as ``np.tensordot``."""
+    r = T.ndim
+    K = _slot_metric(g)
+    up = np.tensordot(np.tensordot(T, K, axes=([0], [0])), K, axes=([0], [0]))
+    W = np.tensordot(np.conj(mu.coeffs), up, axes=([0, 1], [r - 2, r - 1]))
+    W = np.tensordot(complexify(np.conj(g.matrix)), W, axes=([0], [0]))
+    return -0.5 * _shuffle(W, 1)
 
 
 # The curvature path as index contractions, one einsum per formula: the

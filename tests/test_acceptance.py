@@ -251,7 +251,7 @@ def test_criterion_10_two_step_identities():
             gram = gram_real(g)
             xi = center(mu)
             _, Sinv, J, _ = adapted_frame(n)
-            rc = Sinv @ xi.basis
+            rc = Sinv @ xi
             Z = gram_orthonormal(np.concatenate([rc.real, rc.imag], axis=1), gram)
             P = np.eye(2 * n) - Z @ (Z.T @ gram)
 

@@ -6,7 +6,7 @@ Every judgement reads one named module constant (``lie_core.SYMMETRY_TOL``,
 tolerance changes in one place and not once per call path.  No module imports
 another module's ``_name``: a check that needs sharing is public.  A metric's
 inverse is computed by ``HermitianMetric`` alone.  The package runs on numpy
-alone; scipy is a test oracle.
+alone; scipy is a test oracle.  No module calls ``np.tensordot``.
 """
 
 import ast
@@ -137,6 +137,19 @@ def test_the_package_runs_on_numpy_alone():
     pyproject = (src.parents[1] / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
     assert re.findall(r'"([A-Za-z0-9_.-]+)', block) == ["numpy"]
+
+
+def test_no_module_calls_tensordot():
+    # the exterior calculus multiplies reshaped operands with @; tensordot
+    # would transpose a copy of each operand first.  Docstrings may name it.
+    src = Path(lie_core.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "tensordot":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"tensordot in the package: {', '.join(found)}"
 
 
 def _public_definitions(tree):

@@ -268,12 +268,12 @@ def test_bismut_scalar_unitary_invariance(rng, heisenberg):
 
 def test_static_defect(heisenberg, torus2):
     g0 = HermitianMetric(np.eye(2))
-    fit = static_defect(torus2.bracket, g0, 0.0)
-    assert fit.defect == 0.0 and fit.residual_best == 0.0
+    defect, _, residual_best = static_defect(torus2.bracket, g0, 0.0)
+    assert defect == 0.0 and residual_best == 0.0
     for r in (0.7, -0.3, 0.0):
-        fit = static_defect(heisenberg.bracket, g0, r)
-        assert fit.defect > 1e-3
+        defect, _, _ = static_defect(heisenberg.bracket, g0, r)
+        assert defect > 1e-3
     x, y, z = 1.5, 0.8, 0.2 + 0.3j
-    fit = static_defect(heisenberg.bracket, general_metric(x, y, z), 0.1)
-    assert fit.residual_best > 1e-3
-    assert fit.residual_best <= fit.defect + 1e-15
+    defect, _, residual_best = static_defect(heisenberg.bracket, general_metric(x, y, z), 0.1)
+    assert residual_best > 1e-3
+    assert residual_best <= defect + 1e-15

@@ -21,11 +21,11 @@ from conftest import (
     one_one_part,
     random_pd_metric,
     torsion_tensor,
+    two_step_skt_bracket,
 )
 from pluriflow import catalog, connections, hermitian_forms, lie_core
 from pluriflow.errors import IntegrabilityError, ValidationError
 from pluriflow.connections import (
-    Connection,
     bismut,
     curvature,
     levi_civita,
@@ -53,7 +53,7 @@ from pluriflow.lie_core import (
 
 def test_levi_civita_abelian_zero(rng):
     conn = levi_civita(abelian(), random_pd_metric(rng, 2))
-    assert np.abs(conn.coeffs).max() == 0.0
+    assert np.abs(conn).max() == 0.0
 
 
 def test_levi_civita_heisenberg_values(heisenberg):
@@ -61,10 +61,10 @@ def test_levi_civita_heisenberg_values(heisenberg):
     conn = levi_civita(heisenberg.bracket, HermitianMetric(np.eye(2)))
     expect = np.zeros(4)
     expect[3] = 0.5
-    assert np.allclose(conn.coeffs[0, 2, :], expect, atol=1e-14)
+    assert np.allclose(conn[0, 2, :], expect, atol=1e-14)
     expect = np.zeros(4)
     expect[2] = -0.5
-    assert np.allclose(conn.coeffs[0, 3, :], expect, atol=1e-14)
+    assert np.allclose(conn[0, 3, :], expect, atol=1e-14)
 
 
 def test_levi_civita_defining_properties(rng):
@@ -74,7 +74,7 @@ def test_levi_civita_defining_properties(rng):
         g = random_pd_metric(rng, mu.n)
         conn = levi_civita(mu, g)
         gram = gram_real(g)
-        mats = conn.matrices()
+        mats = conn.transpose(0, 2, 1)
         compat = np.abs(np.einsum("iab,ac->ibc", mats, gram)
                         + np.einsum("ab,ibc->iac", gram, mats)).max()
         torsion = np.abs(torsion_tensor(conn, mu)).max()
@@ -86,7 +86,7 @@ def test_bismut_torus_equals_levi_civita(rng, torus2):
     g = random_pd_metric(rng, 2)
     conn = bismut(torus2.bracket, g)
     lc = levi_civita(torus2.bracket, g)
-    assert np.abs(conn.coeffs - lc.coeffs).max() == 0.0
+    assert np.abs(conn - lc).max() == 0.0
     assert torsion_three_form(torus2.bracket, g).max_norm() == 0.0
 
 
@@ -111,10 +111,10 @@ def test_bismut_defining_properties_random_metrics(rng, heisenberg):
 def test_curvature_antisymmetry_and_flat_abelian(rng):
     mu = abelian()
     g = random_pd_metric(rng, 2)
-    R = einsum_curvature(levi_civita(mu, g).coeffs, mu)
+    R = einsum_curvature(levi_civita(mu, g), mu)
     assert np.abs(R).max() == 0.0
     entry = catalog.inoue_s0(1.0, 1.0)
-    R = einsum_curvature(levi_civita(entry.bracket, random_pd_metric(rng, 2)).coeffs,
+    R = einsum_curvature(levi_civita(entry.bracket, random_pd_metric(rng, 2)),
                          entry.bracket)
     assert np.abs(R + R.transpose(1, 0, 2, 3)).max() < 1e-14
 
@@ -124,7 +124,7 @@ def test_curvature_matches_two_step_formula(heisenberg):
     mu = heisenberg.bracket
     g = HermitianMetric(np.eye(2))
     gram = gram_real(g)
-    R = einsum_curvature(levi_civita(mu, g).coeffs, mu)
+    R = einsum_curvature(levi_civita(mu, g), mu)
     c = mu.real_structure()
     low = np.einsum("ijml,mw->ijlw", R, gram)   # g(R(X, Y) Z, W) as [i, j, l, w]
     lhs = low[0, 2, 0, 2]  # g(R(E1, E3) E1, E3)
@@ -192,7 +192,7 @@ def _perp_projector(mu, g):
     gram = gram_real(g)
     xi = center(mu)
     _, Sinv, _, _ = adapted_frame(mu.n)
-    rc = Sinv @ xi.basis
+    rc = Sinv @ xi
     cand = np.concatenate([rc.real, rc.imag], axis=1)
     Z = gram_orthonormal(cand, gram)
     return np.eye(2 * mu.n) - Z @ (Z.T @ gram)
@@ -251,7 +251,7 @@ def test_complex_notation_traces_match_real_path(rng):
         n = mu.n
         g = random_pd_metric(rng, n)
         data = ricci_forms(mu, g)
-        R = einsum_curvature(bismut(mu, g).coeffs, mu)
+        R = einsum_curvature(bismut(mu, g), mu)
         S, Sinv, _, _ = adapted_frame(n)
         B = big_bilinear(g)
         Ginv = np.linalg.inv(g.matrix)
@@ -306,7 +306,7 @@ def _oracle_cases(n):
         brackets += [catalog.heisenberg_kt().bracket, catalog.inoue_s0(1.0, 1.0).bracket,
                      catalog.solvable_2414().bracket]
     else:
-        brackets.append(catalog.random_2step_skt(n, 2, center_dim=n - 1).bracket)
+        brackets.append(two_step_skt_bracket(n, n - 1, 2))
     for mu in brackets:
         yield mu, HermitianMetric(np.eye(n))
         yield mu, random_pd_metric(rng, n)
@@ -323,14 +323,14 @@ def test_curvature_path_matches_einsum_oracles(n):
     for mu, g in _oracle_cases(n):
         lc = levi_civita(mu, g)
         lc_ref = einsum_levi_civita(mu, g)
-        _assert_close(lc.coeffs, lc_ref)
+        _assert_close(lc, lc_ref)
         bc, c_form = bismut(mu, g), torsion_three_form(mu, g)
         bc_ref = einsum_bismut(mu, g, c_form)
-        _assert_close(bc.coeffs, bc_ref)
+        _assert_close(bc, bc_ref)
         Rg_ref = einsum_curvature(lc_ref, mu)
         Rb_ref = einsum_curvature(bc_ref, mu)
-        _assert_close(einsum_curvature(lc.coeffs, mu), Rg_ref)
-        _assert_close(einsum_curvature(bc.coeffs, mu), Rb_ref)
+        _assert_close(einsum_curvature(lc, mu), Rg_ref)
+        _assert_close(einsum_curvature(bc, mu), Rb_ref)
 
         data = ricci_forms(mu, g)
         ric_g, ric_b, rho_real = einsum_ricci_traces(Rg_ref, Rb_ref, g)
@@ -357,11 +357,11 @@ def test_curvature_traces_match_einsum_curvature(n):
     for _ in range(3):
         raw = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
         mu = LieBracket(symmetrize_bracket(raw, n), validate=False)
-        cases.append((Connection(rng.standard_normal((m, m, m))), mu))
-    for conn, mu in cases:
-        R = curvature(conn, mu)
-        ref = einsum_curvature(conn.coeffs, mu)
-        conn.coeffs[...] = 0.0   # the tensor holds its own copy
+        cases.append((rng.standard_normal((m, m, m)), mu))
+    for gamma, mu in cases:
+        R = curvature(gamma, mu)
+        ref = einsum_curvature(gamma, mu)
+        gamma[...] = 0.0   # the tensor holds its own copy
         _assert_close(R.ricci(), np.trace(ref, axis1=0, axis2=2), rel=1e-12)
         _assert_close(R.rho(), 0.5 * np.tensordot(ref, J_real, axes=([2, 3], [0, 1])),
                       rel=1e-12)
@@ -393,12 +393,12 @@ def test_bismut_residuals_match_einsum_oracle(monkeypatch, rng):
         mu = entry.bracket
         g = random_pd_metric(rng, mu.n)
         conn, c_form = bismut(mu, g), torsion_three_form(mu, g)
-        assert max(einsum_bismut_residuals(mu, g, conn.coeffs, c_form)) < 1e-12
-        kick = 1e-3 * rng.standard_normal(conn.coeffs.shape)
+        assert max(einsum_bismut_residuals(mu, g, conn, c_form)) < 1e-12
+        kick = 1e-3 * rng.standard_normal(conn.shape)
         compat, jres, skew = einsum_bismut_residuals(
             mu, g, einsum_bismut(mu, g, c_form) + kick, c_form)
         message = f"compat {compat:.2e}, J {jres:.2e}, skew {skew:.2e}"
-        kicked = Connection(einsum_levi_civita(mu, g) + kick)
+        kicked = einsum_levi_civita(mu, g) + kick
         with monkeypatch.context() as m:
             m.setattr(connections, "levi_civita", lambda *_: kicked)
             with pytest.raises(ValidationError, match=re.escape(message)):
